@@ -40,7 +40,6 @@ from .geometry import (
     Placement,
     Tiling,
     VerifyOutcome,
-    coverage_gap,
     frac,
     interiors_disjoint,
     rational_gcd,

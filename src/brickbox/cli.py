@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import serialization as ser
@@ -32,10 +33,16 @@ from .exactcover import (
     cover_matrix_text,
     exact_cover_tileable,
 )
-from .geometry import BoxSpec, Brick, Placement, Tiling, verify_tiling_geometric
+from .geometry import BoxSpec, Brick, Tiling, verify_tiling_geometric
 from .render import tiling_to_svg
 from .spectral import random_frequencies, residual_sample
-from .theorem import certificate_to_tiling, decide_two_brick, find_split, one_brick_tileable
+from .theorem import (
+    _slab_placements,
+    certificate_to_tiling,
+    decide_two_brick,
+    find_split,
+    one_brick_tileable,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -116,17 +123,6 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK if cert else EXIT_NEGATIVE
 
 
-def _single_brick_tiling(box: BoxSpec, brick: Brick) -> Tiling:
-    from itertools import product
-
-    counts = [int(L / c) for L, c in zip(box.dims, brick.dims)]
-    placements = tuple(
-        Placement(0, tuple(k * c for k, c in zip(combo, brick.dims)))
-        for combo in product(*(range(n) for n in counts))
-    )
-    return Tiling(bricks=(brick,), placements=placements, box=box)
-
-
 def _cmd_tile(args: argparse.Namespace) -> int:
     box, bricks = _load_instance(args)
     use_oracle = args.oracle or len(bricks) >= 3
@@ -149,7 +145,10 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         if not one_brick_tileable(box, bricks[0]):
             _emit(args, {"status": "unsat"})
             return EXIT_NEGATIVE
-        _emit(args, ser.tiling_to_obj(_single_brick_tiling(box, bricks[0])))
+        brick = bricks[0]
+        layers = int(box.dims[0] / brick.dims[0])
+        placements = _slab_placements(0, brick, box, 0, layers, Fraction(0))
+        _emit(args, ser.tiling_to_obj(Tiling(bricks=(brick,), placements=placements, box=box)))
         return EXIT_OK
     a, b = bricks
     outcome = decide_two_brick(box, a, b)

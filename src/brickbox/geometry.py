@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
@@ -122,10 +121,11 @@ class Tiling:
 class VerifyOutcome:
     """Result of geometric verification.
 
-    status is one of "ok", "overlap", "volume-mismatch", "coverage-gap".
-    The witness depends on the failure: the two offending placement indices
-    for an overlap, (placed volume, box volume) for a volume mismatch, and
-    the lowest corner of an uncovered cell for a coverage gap.
+    status is one of "ok", "overlap", "volume-mismatch". The witness is the
+    lexicographically first pair (i, j), i < j, of 0-based placement indices
+    whose interiors meet for an overlap, and (placed volume, box volume) for
+    a volume mismatch. Disjoint interiors inside the box with equal volume
+    leave no gap, so no third failure exists.
     """
 
     status: str
@@ -176,57 +176,52 @@ def rational_gcd(x: RationalLike, y: RationalLike) -> Fraction:
     )
 
 
-def coverage_gap(t: Tiling) -> tuple[Fraction, ...] | None:
-    """Lowest corner of an uncovered cell, or None when the box is covered.
-
-    The check runs on the arrangement of all placement boundary coordinates
-    per axis (the common refinement of every interval endpoint), so it is
-    exact for arbitrary rational offsets; they need not align to any shared
-    grid unit.
-    """
+def _arrangement_counts(t: Tiling) -> tuple[np.ndarray, list[tuple[slice, ...]]]:
+    # Cover count of each cell of the arrangement of all boundary coordinates
+    # per axis, and each placement's window of cells. Exact for any rational
+    # offsets. Two open placements meet iff their windows share a cell.
     d = t.box.dim
-    coords: list[list[Fraction]] = []
+    spans = []
+    for p in t.placements:
+        dims = t.bricks[p.brick_index].dims
+        spans.append((p.offset, tuple(o + c for o, c in zip(p.offset, dims))))
     index: list[dict[Fraction, int]] = []
     for ax in range(d):
         vals = {Fraction(0), t.box.dims[ax]}
-        for p in t.placements:
-            dims = t.bricks[p.brick_index].dims
-            vals.add(p.offset[ax])
-            vals.add(p.offset[ax] + dims[ax])
-        ordered = sorted(vals)
-        coords.append(ordered)
-        index.append({v: k for k, v in enumerate(ordered)})
-    counts = np.zeros([len(c) - 1 for c in coords], dtype=np.int32)
-    for p in t.placements:
-        dims = t.bricks[p.brick_index].dims
-        window = tuple(
-            slice(index[ax][p.offset[ax]], index[ax][p.offset[ax] + dims[ax]])
-            for ax in range(d)
-        )
+        for lo, hi in spans:
+            vals.add(lo[ax])
+            vals.add(hi[ax])
+        index.append({v: k for k, v in enumerate(sorted(vals))})
+    counts = np.zeros([len(ix) - 1 for ix in index], dtype=np.int32)
+    windows = [
+        tuple(slice(index[ax][lo[ax]], index[ax][hi[ax]]) for ax in range(d))
+        for lo, hi in spans
+    ]
+    for window in windows:
         counts[window] += 1
-    empty = np.argwhere(counts == 0)
-    if empty.size:
-        cell = empty[0]
-        return tuple(coords[ax][int(cell[ax])] for ax in range(d))
-    return None
+    return counts, windows
 
 
 def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     """Check that the placements tile the box exactly.
 
-    Verifies, in order: pairwise interiors are disjoint, placed volume sums
-    to the box volume, and the closed placements cover the closed box. The
-    first violated condition is reported with a witness. All comparisons are
-    exact rational arithmetic.
+    One pass counts how many placements cover each cell of the arrangement
+    of all placement boundaries. A cell covered twice is an overlap,
+    reported as the lexicographically first pair i < j of placements whose
+    interiors meet. Otherwise the interiors are disjoint and the placements
+    lie inside the box, so they tile it iff the placed volume equals the box
+    volume. All comparisons are exact rational arithmetic.
     """
-    for (i, p), (j, q) in combinations(enumerate(t.placements), 2):
-        if not interiors_disjoint(p, q, t.bricks):
-            return VerifyOutcome("overlap", (i, j))
+    counts, windows = _arrangement_counts(t)
+    if counts.max() > 1:
+        # The first placement with a shared cell meets only later placements:
+        # an earlier one it met would have been found first.
+        i = next(k for k, window in enumerate(windows) if counts[window].max() > 1)
+        for j in range(i + 1, len(t.placements)):
+            if not interiors_disjoint(t.placements[i], t.placements[j], t.bricks):
+                return VerifyOutcome("overlap", (i, j))
     placed = sum((volume(t.bricks[p.brick_index]) for p in t.placements), Fraction(0))
     box_vol = volume(t.box)
     if placed != box_vol:
         return VerifyOutcome("volume-mismatch", (placed, box_vol))
-    gap = coverage_gap(t)
-    if gap is not None:
-        return VerifyOutcome("coverage-gap", gap)
     return VerifyOutcome("ok")

@@ -62,9 +62,25 @@ def test_tile_two_bricks_theorem_path(capsys):
 
 
 def test_tile_single_brick(capsys):
+    # A single brick tiles as one row-major grid of brick type 0.
     code, out, _ = run(capsys, "tile", "--box", "1,1", "--brick", "1/2,1/2")
     assert code == 0
-    assert len(json.loads(out)["placements"]) == 4
+    tiling = json.loads(out)
+    assert tiling["bricks"] == [{"dims": ["1/2", "1/2"]}]
+    assert [p["brick"] for p in tiling["placements"]] == [0] * 4
+    assert [p["offset"] for p in tiling["placements"]] == [
+        ["0/1", "0/1"], ["0/1", "1/2"], ["1/2", "0/1"], ["1/2", "1/2"],
+    ]
+    code, out, _ = run(capsys, "tile", "--box", "1,3/2,1", "--brick", "1/2,1/2,1/2")
+    assert code == 0
+    tiling = json.loads(out)
+    assert len(tiling["bricks"]) == 1
+    assert [p["offset"] for p in tiling["placements"]] == [
+        [x, y, z]
+        for x in ("0/1", "1/2")
+        for y in ("0/1", "1/2", "1/1")
+        for z in ("0/1", "1/2")
+    ]
     code, _, _ = run(capsys, "tile", "--box", "1,1", "--brick", "2/5,1/2")
     assert code == 1
 
@@ -86,6 +102,12 @@ def test_verify_failing_tiling_exits_one(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == 1
     assert json.loads(out)["status"] == "volume-mismatch"
+
+    bad["placements"].append({"brick": 0, "offset": ["1/4", "0/1"]})
+    path.write_text(json.dumps(bad))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {"status": "overlap", "witness": [0, 1]}
 
 
 def test_invalid_input_exits_two(capsys):

@@ -1,6 +1,9 @@
 """Exact geometry: scalars, shapes, and the geometric verifier."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -11,7 +14,8 @@ from brickbox import (
     Brick,
     Placement,
     Tiling,
-    coverage_gap,
+    certificate_to_tiling,
+    decide_two_brick,
     frac,
     interiors_disjoint,
     rational_gcd,
@@ -47,6 +51,17 @@ def oracle_rational_gcd(x, y):
             if best is None or g > best:
                 best = g
     return best
+
+
+def oracle_verify(t):
+    """The pairwise verifier: the first overlapping pair, then exact volume."""
+    for (i, p), (j, q) in combinations(enumerate(t.placements), 2):
+        if not oracle_boxes_disjoint(p, q, t.bricks):
+            return "overlap", (i, j)
+    placed = sum((volume(t.bricks[p.brick_index]) for p in t.placements), F(0))
+    if placed != volume(t.box):
+        return "volume-mismatch", (placed, volume(t.box))
+    return "ok", None
 
 
 positive_rationals = st.fractions(min_value=F(1, 8), max_value=F(8), max_denominator=8)
@@ -219,21 +234,20 @@ def test_verify_detects_volume_mismatch():
     assert out.witness == (F(1, 2), F(1))
 
 
-def test_coverage_gap_reports_uncovered_cell():
-    # Volume mismatch is reported first by the full verifier, so exercise the
-    # coverage pass directly: one half column leaves the right half empty.
-    brick = Brick((F(1, 2), 1))
-    t = Tiling(bricks=(brick,), placements=(Placement(0, (0, 0)),), box=BoxSpec((1, 1)))
-    assert coverage_gap(t) == (F(1, 2), F(0))
-    assert coverage_gap(half_columns()) is None
+def test_verify_handles_unaligned_offsets():
+    # Offsets that share no grid unit with the box or the bricks still get
+    # an exact answer from the arrangement.
+    bricks = (Brick((F(1, 3),)), Brick((F(2, 3),)))
 
+    def verify(*placements):
+        t = Tiling(bricks=bricks, placements=placements, box=BoxSpec((1,)))
+        return verify_tiling_geometric(t)
 
-def test_coverage_gap_handles_unaligned_offsets():
-    # Offsets that are not multiples of any shared unit with the box still
-    # get an exact answer from the arrangement.
-    brick = Brick((F(1, 2),))
-    t = Tiling(bricks=(brick,), placements=(Placement(0, (F(1, 4),)),), box=BoxSpec((1,)))
-    assert coverage_gap(t) == (F(0),)
+    assert verify(Placement(1, (0,)), Placement(0, (F(2, 3),))).ok
+    assert verify(Placement(0, (F(1, 4),))).witness == (F(1, 3), F(1))
+    # [1/4, 7/12] and [1/3, 1] meet on (1/3, 7/12).
+    assert verify(Placement(0, (F(1, 4),)), Placement(1, (F(1, 3),))).witness == (0, 1)
+    assert verify(Placement(0, (F(1, 4),)), Placement(0, (F(7, 12),))).status == "volume-mismatch"
 
 
 def test_tiling_construction_validates():
@@ -253,3 +267,91 @@ def test_verify_pinwheel():
     from brickbox import make_instance, pinwheel_tiling
 
     assert verify_tiling_geometric(pinwheel_tiling(make_instance(4))).ok
+
+
+# ---------------------------------------------------------------------------
+# Differential corpus: the arrangement pass against the pairwise oracle
+# ---------------------------------------------------------------------------
+
+VERIFY_SEED = 20260418
+MAX_PLACEMENTS = 150
+
+
+def _rational_in(rng, top):
+    """A rational in [0, top] with a small denominator, often off any grid."""
+    q = rng.choice((1, 2, 3, 4, 6))
+    return top * F(rng.randint(0, q), q)
+
+
+def _sat_tiling(rng):
+    """A certificate tiling of a planted two-brick SAT box, d = 1..3."""
+    while True:
+        d = rng.randint(1, 3)
+        a = [F(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)]
+        b = [x * rng.choice((1, 2, F(1, 2), F(2, 3))) for x in a]
+        axis = rng.randrange(d)
+        box = [x * y / rational_gcd(x, y) for x, y in zip(a, b)]  # lcm: both bricks divide it
+        box[axis] = rng.randint(0, 3) * a[axis] + rng.randint(1, 3) * b[axis]
+        box, a, b = BoxSpec(box), Brick(a), Brick(b)
+        outcome = decide_two_brick(box, a, b)
+        assert outcome.tileable
+        t = certificate_to_tiling(outcome.certificate, box, a, b)
+        if len(t.placements) <= MAX_PLACEMENTS - 2:
+            return t
+
+
+def _mutate(rng, t):
+    """Drop, duplicate, shift inside the box, or swap the type of one placement."""
+    placements = list(t.placements)
+    if not placements:
+        return t
+    k = rng.randrange(len(placements))
+    p = placements[k]
+    kind = rng.choice(("drop", "duplicate", "shift", "swap"))
+    if kind == "drop":
+        del placements[k]
+    elif kind == "duplicate":
+        placements.insert(rng.randint(0, len(placements)), p)
+    else:
+        index = p.brick_index
+        if kind == "swap":
+            fits = [i for i, b in enumerate(t.bricks) if all(map(F.__le__, b.dims, t.box.dims))]
+            index = rng.choice(fits)
+        dims = t.bricks[index].dims
+        offset = [min(o, L - c) for o, L, c in zip(p.offset, t.box.dims, dims)]
+        if kind == "shift":
+            ax = rng.randrange(len(offset))
+            offset[ax] = _rational_in(rng, t.box.dims[ax] - dims[ax])
+        placements[k] = Placement(index, tuple(offset))
+    return Tiling(bricks=t.bricks, placements=tuple(placements), box=t.box)
+
+
+def _random_tiling(rng):
+    """Random placements of one to three brick types inside a random box."""
+    d = rng.randint(1, 3)
+    box = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(d)]
+    bricks = [Brick([_rational_in(rng, L) or L for L in box]) for _ in range(rng.randint(1, 3))]
+    placements = []
+    for _ in range(rng.randint(0, 12)):
+        k = rng.randrange(len(bricks))
+        offset = [_rational_in(rng, L - c) for L, c in zip(box, bricks[k].dims)]
+        placements.append(Placement(k, tuple(offset)))
+    return Tiling(bricks=tuple(bricks), placements=tuple(placements), box=BoxSpec(box))
+
+
+def test_verify_matches_pairwise_oracle_on_seeded_corpus():
+    rng = random.Random(VERIFY_SEED)
+    statuses = Counter()
+    for case in range(2100):
+        if case % 3 == 2:
+            t = _random_tiling(rng)
+        else:
+            t = _sat_tiling(rng)
+            for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                t = _mutate(rng, t)
+        assert len(t.placements) <= MAX_PLACEMENTS
+        out = verify_tiling_geometric(t)
+        assert (out.status, out.witness) == oracle_verify(t), case
+        statuses[out.status] += 1
+    assert set(statuses) == {"ok", "overlap", "volume-mismatch"}
+    assert min(statuses.values()) >= 200, statuses
