@@ -52,21 +52,28 @@ EXIT_BUDGET = 3
 ENV_NODE_BUDGET = "BRICKBOX_NODE_BUDGET"
 
 
+def _positive(value: int, source: str) -> int:
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1: {value}")
+    return value
+
+
 def _node_budget(args: argparse.Namespace) -> int:
     if getattr(args, "node_budget", None) is not None:
-        return args.node_budget
+        return _positive(args.node_budget, "--node-budget")
     env = os.environ.get(ENV_NODE_BUDGET)
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise ValueError(f"{ENV_NODE_BUDGET} must be an integer: {env!r}") from exc
+        return _positive(budget, ENV_NODE_BUDGET)
     return DEFAULT_NODE_BUDGET
 
 
 def _grid_cap(args: argparse.Namespace) -> int:
     cap = getattr(args, "grid_cap", None)
-    return cap if cap is not None else DEFAULT_GRID_CAP
+    return _positive(cap, "--grid-cap") if cap is not None else DEFAULT_GRID_CAP
 
 
 def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
@@ -74,6 +81,8 @@ def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
         obj = json.loads(Path(args.input).read_text())
         if not isinstance(obj, dict) or "box" not in obj or "bricks" not in obj:
             raise ValueError("instance file needs 'box' and 'bricks'")
+        if not isinstance(obj["bricks"], list):
+            raise ValueError("'bricks' must be a list")
         return ser.box_from_obj(obj["box"]), [ser.brick_from_obj(b) for b in obj["bricks"]]
     if not args.box or not args.brick:
         raise ValueError("provide --box and --brick, or --input FILE")
@@ -125,14 +134,13 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_tile(args: argparse.Namespace) -> int:
     box, bricks = _load_instance(args)
+    grid_cap, node_budget = _grid_cap(args), _node_budget(args)
     use_oracle = args.oracle or len(bricks) >= 3
     if args.emit_matrix:
-        grid = build_grid(box, bricks, cap=_grid_cap(args))
+        grid = build_grid(box, bricks, cap=grid_cap)
         Path(args.emit_matrix).write_text(cover_matrix_text(build_cover_problem(grid)))
     if use_oracle:
-        outcome = exact_cover_tileable(
-            box, bricks, grid_cap=_grid_cap(args), node_budget=_node_budget(args)
-        )
+        outcome = exact_cover_tileable(box, bricks, grid_cap=grid_cap, node_budget=node_budget)
         if outcome.status == TIMEOUT:
             _emit(args, {"status": "timeout", "nodes": outcome.nodes})
             return EXIT_BUDGET

@@ -50,15 +50,12 @@ ZERO_TOL = 1e-12
 class SpectralReport:
     """Summary of sampled residuals of the tiling identity.
 
-    residuals_at_zero_set lists (point, residual) for the sample points that
-    lie on the zero set of the box transform; witness is the sample point
-    attaining the maximum residual; seed records how random samples were
-    drawn (None for caller-supplied points).
+    witness is the sample point attaining the maximum residual; seed records
+    how random samples were drawn (None for caller-supplied points).
     """
 
     samples: int
     max_abs_residual: float
-    residuals_at_zero_set: tuple[tuple[tuple, float], ...] = ()
     witness: tuple | None = None
     seed: int | None = None
 
@@ -201,13 +198,9 @@ def residual_sample(
         total += phases * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     peak = int(np.argmax(resid))
-    at_zero_set = tuple(
-        (tuple(p), float(resid[i])) for i, p in enumerate(points) if in_zero_set_Z(p, t.box)
-    )
     return SpectralReport(
         samples=len(points),
         max_abs_residual=float(resid[peak]),
-        residuals_at_zero_set=at_zero_set,
         witness=tuple(points[peak]),
         seed=seed,
     )

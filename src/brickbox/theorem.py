@@ -71,14 +71,18 @@ def _require_same_dim(box: BoxSpec, *bricks: Brick) -> None:
             raise ValueError("box and brick dimensions differ")
 
 
-def _integral(ratio: Fraction) -> bool:
-    return ratio.denominator == 1
+def _bad_axes(box: BoxSpec, brick: Brick) -> list[int]:
+    # Axes i, in increasing order, on which L_i/c_i is not an integer.
+    _require_same_dim(box, brick)
+    return [
+        i for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
+        if (length / ext).denominator != 1
+    ]
 
 
 def one_brick_tileable(box: BoxSpec, brick: Brick) -> bool:
     """True iff a grid of the brick fills the box: every L_j/a_j is an integer."""
-    _require_same_dim(box, brick)
-    return all(_integral(length / ext) for length, ext in zip(box.dims, brick.dims))
+    return not _bad_axes(box, brick)
 
 
 def key_observation_holds(
@@ -88,19 +92,11 @@ def key_observation_holds(
 
     Returns None when for every ordered pair i != j at least one of L_i/a_i
     and L_j/b_j is an integer; otherwise the lexicographically smallest
-    violating pair. For d < 2 the condition is vacuous and None is returned
-    by convention.
+    violating pair. For d < 2 no pair i != j exists, so None is returned.
     """
-    _require_same_dim(box, a, b)
-    d = box.dim
-    if d < 2:
-        return None
-    bad_a = [i for i in range(d) if not _integral(box.dims[i] / a.dims[i])]
-    bad_b = [j for j in range(d) if not _integral(box.dims[j] / b.dims[j])]
-    pairs = sorted((i, j) for i in bad_a for j in bad_b if i != j)
-    if pairs:
-        return KeyObservationViolation(*pairs[0])
-    return None
+    bad_a, bad_b = _bad_axes(box, a), _bad_axes(box, b)
+    pairs = [(i, j) for i in bad_a for j in bad_b if i != j]
+    return KeyObservationViolation(*pairs[0]) if pairs else None
 
 
 def solve_axis_combination(L, a, b) -> list[tuple[int, int]]:
@@ -122,31 +118,27 @@ def find_split(box: BoxSpec, a: Brick, b: Brick) -> SplitCertificate | None:
     """Search for a split certificate; None when no hyperplane cut works.
 
     Deterministic selection: a degenerate single-brick certificate is
-    preferred (brick a checked before brick b), then axes are scanned in
-    increasing order and the pair with smallest m is taken on the first
-    axis whose cross-sections both bricks divide evenly.
+    preferred (brick a checked before brick b). Otherwise only one axis can
+    carry a cut: both bricks must divide the box on every axis but the cut
+    axis, so each fails to divide it on exactly that axis and no other. On
+    that axis the pair with smallest m is taken.
     """
-    _require_same_dim(box, a, b)
-    d = box.dim
-    if one_brick_tileable(box, a):
+    bad_a, bad_b = _bad_axes(box, a), _bad_axes(box, b)
+    if not bad_a:
         m = int(box.dims[0] / a.dims[0])
         return SplitCertificate(axis=0, m=m, n=0, cut=box.dims[0])
-    if one_brick_tileable(box, b):
+    if not bad_b:
         n = int(box.dims[0] / b.dims[0])
         return SplitCertificate(axis=0, m=0, n=n, cut=Fraction(0))
-    for axis in range(d):
-        cross_ok = all(
-            _integral(box.dims[i] / a.dims[i]) and _integral(box.dims[i] / b.dims[i])
-            for i in range(d)
-            if i != axis
-        )
-        if not cross_ok:
-            continue
-        pairs = solve_axis_combination(box.dims[axis], a.dims[axis], b.dims[axis])
-        if pairs:
-            m, n = pairs[0]
-            return SplitCertificate(axis=axis, m=m, n=n, cut=m * a.dims[axis])
-    return None
+    # A cut on axis k needs both bricks to divide every other axis.
+    if len(bad_a) != 1 or bad_a != bad_b:
+        return None
+    (k,) = bad_a
+    pairs = solve_axis_combination(box.dims[k], a.dims[k], b.dims[k])
+    if not pairs:
+        return None
+    m, n = pairs[0]
+    return SplitCertificate(axis=k, m=m, n=n, cut=m * a.dims[k])
 
 
 def decide_two_brick(box: BoxSpec, a: Brick, b: Brick) -> DecisionOutcome:
@@ -187,13 +179,14 @@ def validate_certificate(
         raise ValueError("layer counts do not fill the split axis")
     if cert.cut != cert.m * a.dims[axis]:
         raise ValueError("cut position does not match m * a_axis")
-    for i in range(d):
-        if i == axis:
-            continue
-        if cert.m > 0 and not _integral(box.dims[i] / a.dims[i]):
-            raise ValueError(f"brick a does not divide the box on cross axis {i}")
-        if cert.n > 0 and not _integral(box.dims[i] / b.dims[i]):
-            raise ValueError(f"brick b does not divide the box on cross axis {i}")
+    # First failing cross axis; on the same axis brick a is reported first.
+    misfits = sorted(
+        [(i, "a") for i in _bad_axes(box, a) if cert.m > 0 and i != axis]
+        + [(i, "b") for i in _bad_axes(box, b) if cert.n > 0 and i != axis]
+    )
+    if misfits:
+        i, name = misfits[0]
+        raise ValueError(f"brick {name} does not divide the box on cross axis {i}")
 
 
 def _slab_placements(

@@ -137,6 +137,29 @@ def test_budget_exhaustion_exits_three(capsys):
     assert "budget exhausted" in err
 
 
+def test_budgets_below_one_exit_two(capsys, monkeypatch):
+    unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
+    code, out, err = run(capsys, *unsat, "--grid-cap", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: --grid-cap must be at least 1")
+    code, out, err = run(capsys, *unsat, "--node-budget", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: --node-budget must be at least 1")
+    monkeypatch.setenv("BRICKBOX_NODE_BUDGET", "-5")
+    code, out, err = run(capsys, *unsat)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: BRICKBOX_NODE_BUDGET must be at least 1")
+    # the theorem path rejects a bad budget too, though it never spends one
+    code, _, _ = run(capsys, "tile", "--box", "1,1", "--brick", "1,1", "--brick", "1,1",
+                     "--node-budget", "0")
+    assert code == 2
+    # a budget of 1 is valid: the search spends it and reports a timeout
+    monkeypatch.delenv("BRICKBOX_NODE_BUDGET")
+    code, out, _ = run(capsys, *unsat, "--node-budget", "1")
+    assert code == 3
+    assert json.loads(out)["status"] == "timeout"
+
+
 def test_node_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BRICKBOX_NODE_BUDGET", "2")
     code, out, _ = run(
@@ -229,3 +252,11 @@ def test_instance_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", "--input", str(path))
     assert code == 0
     assert json.loads(out)["tileable"] is True
+
+
+def test_instance_file_bricks_must_be_a_list(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"box": {"dims": [1, 1]}, "bricks": 5}))
+    code, out, err = run(capsys, "decide", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:")

@@ -168,13 +168,11 @@ def test_complex_identity_holds_pointwise():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_residual_records_zero_set_points_and_witness():
+def test_residual_records_seed_and_witness():
     t = half_columns()
     points = [(1.0, 0.3), (0.2, 0.4)]
     report = residual_sample(t, points, seed=99)
     assert report.seed == 99
-    assert len(report.residuals_at_zero_set) == 1
-    assert report.residuals_at_zero_set[0][0] == (1.0, 0.3)
     assert report.witness in points
 
 

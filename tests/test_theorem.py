@@ -1,5 +1,7 @@
 """Split certificates: decision, search order, and tiling construction."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from brickbox import (
     BoxSpec,
     Brick,
+    DecisionOutcome,
     KeyObservationViolation,
     SplitCertificate,
     certificate_to_tiling,
@@ -16,6 +19,7 @@ from brickbox import (
     exact_cover_tileable,
     find_split,
     key_observation_holds,
+    key_observation_witness,
     one_brick_tileable,
     solve_axis_combination,
     validate_certificate,
@@ -296,3 +300,174 @@ def test_violation_implies_untileable(data):
     a, b = data.draw(brick_pairs_for(box))
     if key_observation_holds(box, a, b) is not None:
         assert decide_two_brick(box, a, b).tileable is False
+
+
+# ---------------------------------------------------------------------------
+# Differential corpus against the axis-scan reference
+# ---------------------------------------------------------------------------
+
+
+def _divides(box, brick, i):
+    return (box.dims[i] / brick.dims[i]).denominator == 1
+
+
+def reference_find_split(box, a, b):
+    """Axis scan: degenerate certificates first, then the first axis whose
+    cross-sections both bricks divide and whose extent has a combination."""
+    d = box.dim
+    if all(_divides(box, a, i) for i in range(d)):
+        return SplitCertificate(axis=0, m=int(box.dims[0] / a.dims[0]), n=0, cut=box.dims[0])
+    if all(_divides(box, b, i) for i in range(d)):
+        return SplitCertificate(axis=0, m=0, n=int(box.dims[0] / b.dims[0]), cut=F(0))
+    for axis in range(d):
+        if not all(_divides(box, a, i) and _divides(box, b, i) for i in range(d) if i != axis):
+            continue
+        pairs = oracle_axis_pairs(box.dims[axis], a.dims[axis], b.dims[axis])
+        if pairs:
+            m, n = pairs[0]
+            return SplitCertificate(axis=axis, m=m, n=n, cut=m * a.dims[axis])
+    return None
+
+
+def reference_key_observation(box, a, b):
+    d = box.dim
+    pairs = sorted(
+        (i, j)
+        for i in range(d)
+        for j in range(d)
+        if i != j and not _divides(box, a, i) and not _divides(box, b, j)
+    )
+    return KeyObservationViolation(*pairs[0]) if pairs else None
+
+
+def reference_decision(box, a, b):
+    cert = reference_find_split(box, a, b)
+    if cert is not None:
+        return DecisionOutcome(tileable=True, certificate=cert)
+    violation = reference_key_observation(box, a, b)
+    if violation is not None:
+        return DecisionOutcome(
+            tileable=False,
+            obstruction=violation,
+            witness=key_observation_witness(box, a, b, violation.i, violation.j),
+            reason="pairwise integrality condition violated",
+        )
+    return DecisionOutcome(tileable=False, reason="no axis admits a hyperplane split")
+
+
+def reference_certificate_error(cert, box, a, b):
+    """The first check a certificate fails, in a fixed order, or None."""
+    d = box.dim
+    if not 0 <= cert.axis < d:
+        return "certificate axis out of range"
+    if cert.m < 0 or cert.n < 0:
+        return "layer counts must be nonnegative"
+    axis = cert.axis
+    if cert.m * a.dims[axis] + cert.n * b.dims[axis] != box.dims[axis]:
+        return "layer counts do not fill the split axis"
+    if cert.cut != cert.m * a.dims[axis]:
+        return "cut position does not match m * a_axis"
+    for i in range(d):
+        if i == axis:
+            continue
+        if cert.m > 0 and not _divides(box, a, i):
+            return f"brick a does not divide the box on cross axis {i}"
+        if cert.n > 0 and not _divides(box, b, i):
+            return f"brick b does not divide the box on cross axis {i}"
+    return None
+
+
+DIFF_SEED = 31
+DIFF_CASES = 5000
+DIFF_BOX_SIDES = (F(1), F(3, 2), F(2), F(5, 3), F(3))
+
+
+def _extent(rng, L, divides):
+    # L/k when the brick divides this axis, else L*p/q with q/p not an integer
+    if divides:
+        return L / rng.randint(1, 6)
+    while True:
+        u = F(rng.randint(1, 9), rng.randint(1, 7))
+        if (1 / u).denominator != 1:
+            return L * u
+
+
+def _diff_case(rng):
+    d = rng.randint(1, 4)
+    box = BoxSpec(tuple(rng.choice(DIFF_BOX_SIDES) for _ in range(d)))
+    k = rng.randrange(d)
+    shape = rng.choice(["degenerate", "single-axis", "planted", "random"])
+    if shape == "degenerate":
+        bad_a, bad_b = set(), {i for i in range(d) if rng.random() < 0.5}
+    elif shape == "random":
+        bad_a = {i for i in range(d) if rng.random() < 0.5}
+        bad_b = {i for i in range(d) if rng.random() < 0.5}
+    else:
+        bad_a = bad_b = {k}
+    a = [_extent(rng, L, i not in bad_a) for i, L in enumerate(box.dims)]
+    b = [_extent(rng, L, i not in bad_b) for i, L in enumerate(box.dims)]
+    while shape == "planted":
+        # m*a_k + n*b_k = L_k with m, n >= 1 and neither brick dividing L_k
+        m, n = rng.randint(1, 2), rng.randint(1, 2)
+        q = rng.randint(2, 6)
+        u = F(rng.randint(1, q - 1), q * m)
+        v = (1 - m * u) / n
+        if (1 / u).denominator != 1 and (1 / v).denominator != 1:
+            a[k], b[k] = box.dims[k] * u, box.dims[k] * v
+            break
+    if rng.random() < 0.5:
+        a, b = b, a
+    return box, Brick(tuple(a)), Brick(tuple(b))
+
+
+def _random_certificate(rng, box, a, b):
+    d = box.dim
+    if rng.random() < 0.6:
+        # fills its axis with the right cut: only the cross-axis checks can fail
+        axis = rng.randrange(d)
+        pairs = oracle_axis_pairs(box.dims[axis], a.dims[axis], b.dims[axis])
+        if pairs:
+            m, n = rng.choice(pairs)
+            return SplitCertificate(axis=axis, m=m, n=n, cut=m * a.dims[axis])
+    axis = rng.randint(-1, d)
+    m, n = rng.randint(-1, 4), rng.randint(-1, 4)
+    cut = F(rng.randint(0, 6), rng.randint(1, 4))
+    return SplitCertificate(axis=axis, m=m, n=n, cut=cut)
+
+
+def _category(outcome):
+    if outcome.tileable:
+        proper = outcome.certificate.m > 0 and outcome.certificate.n > 0
+        return "proper" if proper else "degenerate"
+    return "obstruction" if outcome.obstruction is not None else "exhausted"
+
+
+def test_decider_matches_axis_scan_reference_on_seeded_corpus():
+    rng = random.Random(DIFF_SEED)
+    seen = Counter()
+    errors = Counter()
+    for _ in range(DIFF_CASES):
+        box, a, b = _diff_case(rng)
+        expected = reference_decision(box, a, b)
+        assert decide_two_brick(box, a, b) == expected, (box, a, b)
+        assert find_split(box, a, b) == expected.certificate, (box, a, b)
+        assert key_observation_holds(box, a, b) == reference_key_observation(box, a, b)
+        seen[box.dim, _category(expected)] += 1
+
+        cert = _random_certificate(rng, box, a, b)
+        want = reference_certificate_error(cert, box, a, b)
+        try:
+            validate_certificate(cert, box, a, b)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (cert, box, a, b)
+        errors[want.split(" on ")[0] if want else None] += 1
+    for d in range(1, 5):
+        for category in ("degenerate", "proper", "exhausted"):
+            assert seen[d, category] >= 20, (d, category, seen)
+        if d >= 2:
+            assert seen[d, "obstruction"] >= 20, (d, seen)
+    assert errors["brick a does not divide the box"] >= 50, errors
+    assert errors["brick b does not divide the box"] >= 50, errors
+    assert errors[None] >= 50, errors
