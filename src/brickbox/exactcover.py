@@ -6,13 +6,25 @@ integer cell count, every in-bounds (brick type, integer offset) placement
 becomes a row covering its footprint cells, and tileability becomes exact
 cover (select rows partitioning all cells).
 
+Before any row is built, two necessary conditions are checked on the grid
+alone; either one failing is a proof of UNSAT with no search:
+
+* slice: a line through cell centres parallel to axis k meets the tiles it
+  crosses in whole footprints, so the box's cell count on every axis is a
+  nonnegative integer combination of the brick footprints on that axis;
+* volume: the box's cell count is a nonnegative integer combination of the
+  brick cell volumes.
+
+The rows come from one numpy stencil per brick type: the footprint's cell
+ids broadcast over the base cell of every in-bounds offset.
+
 The search is Knuth-style Algorithm X over a dict-of-sets sparse matrix:
 always branch on the column with the fewest candidate rows (ties broken by
 lowest cell index), try rows in increasing id order. That makes results
 deterministic and kills adversarial unsatisfiable instances quickly. The
 search is iterative, counts every row trial as a node, and reports hitting
-the node budget as a distinct "timeout" outcome; a budget hit is never
-converted into UNSAT.
+the node budget as a distinct "timeout" outcome carrying the number of
+trials made; a budget hit is never converted into UNSAT.
 
 A solver run owns its mutable matrix and must stay on one thread; inputs
 and outcomes are immutable values, and independent runs do not interfere.
@@ -23,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product, repeat
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import BoxSpec, Brick, Placement, Tiling, rational_gcd
 
@@ -90,11 +104,16 @@ class CoverOutcome:
 
 @dataclass(frozen=True)
 class TileOutcome:
-    """Tileability result: status plus the reconstructed tiling when sat."""
+    """Tileability result: status plus the reconstructed tiling when sat.
+
+    `pruned_by` names the necessary condition that refuted the instance
+    before any search ("slice axis <k>" or "volume"), else None.
+    """
 
     status: str
     tiling: Tiling | None = None
     nodes: int = 0
+    pruned_by: str | None = None
 
 
 def build_grid(
@@ -136,6 +155,12 @@ def _strides(cells: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_major_ids(shape: Sequence[int], strides: np.ndarray) -> np.ndarray:
+    # Cell ids of every point of a box of `shape` at the origin, in the
+    # order of nested loops over the axes (the last axis varies fastest).
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T @ strides
+
+
 def build_cover_problem(grid: GridModel) -> CoverProblem:
     """Enumerate all in-bounds placements as cover rows, in deterministic order.
 
@@ -143,19 +168,52 @@ def build_cover_problem(grid: GridModel) -> CoverProblem:
     row-major over the grid. Bricks too large for the grid simply produce
     no rows.
     """
-    strides = _strides(grid.cells)
+    strides = np.array(_strides(grid.cells), dtype=np.int64)
     rows: list[CoverRow] = []
     for brick_idx, footprint in enumerate(grid.brick_footprints):
-        spans = [grid.cells[ax] - footprint[ax] for ax in range(len(grid.cells))]
-        if any(s < 0 for s in spans):
+        spans = [c - f + 1 for c, f in zip(grid.cells, footprint)]
+        if min(spans) < 1:
             continue
-        for offset in product(*(range(s + 1) for s in spans)):
-            covered = tuple(
-                sum((offset[ax] + rel[ax]) * strides[ax] for ax in range(len(offset)))
-                for rel in product(*(range(f) for f in footprint))
-            )
-            rows.append(CoverRow(brick=brick_idx, offset=offset, cells=covered))
+        covered = _row_major_ids(spans, strides)[:, None] + _row_major_ids(footprint, strides)
+        rows.extend(map(
+            CoverRow,
+            repeat(brick_idx),
+            product(*map(range, spans)),
+            map(tuple, covered.tolist()),
+        ))
     return CoverProblem(grid=grid, rows=tuple(rows))
+
+
+def _combination_of(n: int, parts: Sequence[int]) -> bool:
+    """Whether n is a nonnegative integer combination of the positive `parts`.
+
+    A gcd test, then reachability over 0..n held as the bits of one int:
+    or-ing in shifts by p, 2p, 4p, ... closes the reachable set under adding
+    p, so each part costs O(log n) big-int operations.
+    """
+    if n % math.gcd(*parts):
+        return False
+    mask = (1 << (n + 1)) - 1
+    reach = 1
+    for p in parts:
+        while p <= n:
+            reach |= (reach << p) & mask
+            p *= 2
+    return bool(reach >> n & 1)
+
+
+def _prefilter(grid: GridModel) -> str | None:
+    """Name the first failed necessary condition for tileability, or None.
+
+    Checks the slice condition on each axis in order, then the volume
+    condition (see the module docstring).
+    """
+    for ax, n in enumerate(grid.cells):
+        if not _combination_of(n, [f[ax] for f in grid.brick_footprints]):
+            return f"slice axis {ax}"
+    if not _combination_of(grid.cell_count, [math.prod(f) for f in grid.brick_footprints]):
+        return "volume"
+    return None
 
 
 def cover_matrix_text(problem: CoverProblem) -> str:
@@ -199,9 +257,9 @@ def solve_exact_cover(
     """Find row sets partitioning all columns, up to `limit` of them.
 
     Status "unsat" means the search space was exhausted with no solution;
-    "timeout" means the node budget ran out first (any solutions already
-    found are included). With limit=1 the first solution is returned as
-    soon as it is found.
+    "timeout" means the node budget ran out first, after exactly
+    `node_budget` row trials (any solutions already found are included).
+    With limit=1 the first solution is returned as soon as it is found.
     """
     X: dict[int, set[int]] = {c: set() for c in range(problem.n_columns)}
     Y: dict[int, tuple[int, ...]] = {}
@@ -218,8 +276,13 @@ def solve_exact_cover(
     hit_budget = False
 
     def candidates() -> list[int]:
-        col = min(X, key=lambda c: (len(X[c]), c))
-        return sorted(X[col])
+        # Fewest candidates first, lowest column id on ties; the dict's
+        # order is not id order once columns have been popped and restored.
+        sizes = list(map(len, X.values()))
+        fewest = min(sizes)
+        if not fewest:
+            return []
+        return sorted(X[min(compress(X, map(fewest.__eq__, sizes)))])
 
     frames: list[list] = [[candidates(), 0]]
     sel_rows: list[int] = []
@@ -236,10 +299,10 @@ def solve_exact_cover(
             continue
         frames[-1][1] = idx + 1
         rid = cands[idx]
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:
             hit_budget = True
             break
+        nodes += 1
         sel_rows.append(rid)
         sel_removed.append(_select(X, Y, rid))
         if not X:
@@ -282,11 +345,15 @@ def exact_cover_tileable(
     """Decide tileability by translates of the given brick types.
 
     Returns a tiling (which passes geometric verification) when satisfiable,
-    "unsat" when the exhaustive search rules a tiling out, and "timeout"
-    when the node budget was exhausted first. Raises GridTooLarge when the
-    instance does not fit the grid cap.
+    "unsat" when a prefilter (named in `pruned_by`, with 0 nodes) or the
+    exhaustive search rules a tiling out, and "timeout" when the node budget
+    was exhausted first. Raises GridTooLarge when the instance does not fit
+    the grid cap.
     """
     grid = build_grid(box, bricks, cap=grid_cap)
+    pruned_by = _prefilter(grid)
+    if pruned_by is not None:
+        return TileOutcome(UNSAT, pruned_by=pruned_by)
     problem = build_cover_problem(grid)
     outcome = solve_exact_cover(problem, limit=1, node_budget=node_budget)
     if outcome.status == SAT:

@@ -137,6 +137,22 @@ def test_budget_exhaustion_exits_three(capsys):
     assert "budget exhausted" in err
 
 
+def test_oracle_timeout_reports_trials_made(capsys):
+    # no prefilter fires on this box, so the search spends the whole budget
+    unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
+    for budget in (1, 2):
+        code, out, _ = run(capsys, *unsat, "--node-budget", str(budget))
+        assert code == 3
+        assert json.loads(out) == {"status": "timeout", "nodes": budget}
+
+
+def test_tile_oracle_area_unsat_is_a_verdict(capsys):
+    # 169 cells cannot be covered by bars of 4: refuted before any search
+    code, out, _ = run(capsys, "tile", "--oracle", "--box", "13,13", "--brick", "1,4", "--brick", "4,1")
+    assert code == 1
+    assert json.loads(out) == {"status": "unsat"}
+
+
 def test_budgets_below_one_exit_two(capsys, monkeypatch):
     unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
     code, out, err = run(capsys, *unsat, "--grid-cap", "-1")

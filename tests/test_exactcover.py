@@ -1,6 +1,9 @@
 """Grid discretization and the exact-cover search."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -122,7 +125,7 @@ def test_solver_timeout_is_distinct_from_unsat():
     grid = build_grid(BoxSpec((1, 1)), [Brick((F(2, 5), F(1, 2))), Brick((F(1, 2), F(2, 5)))])
     out = solve_exact_cover(build_cover_problem(grid), node_budget=2)
     assert out.status == "timeout"
-    assert out.nodes == 3  # the third trial tripped the budget
+    assert out.nodes == 2  # the two trials made; the third would exceed the budget
 
 
 def test_solution_limit_bounds_enumeration():
@@ -156,6 +159,24 @@ def test_tileable_unsat_for_blocked_pair():
 def test_tileable_unsat_single_square():
     out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((3, 3))])
     assert out.status == "unsat"
+
+
+def test_prefilters_name_the_failed_condition():
+    bars = [Brick((1, 4)), Brick((4, 1))]
+    # every axis and the volume admit the bars: a genuine search refutes it
+    out = exact_cover_tileable(BoxSpec((10, 10)), bars)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 3485, None)
+    # 169 cells are no sum of 4s, though 13 is a sum of 1s and 4s on each axis
+    out = exact_cover_tileable(BoxSpec((13, 13)), bars)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "volume")
+    # 7 is no sum of 2s and 4s
+    out = exact_cover_tileable(BoxSpec((7, 4)), [Brick((2, 2)), Brick((4, 2))])
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "slice axis 0")
+    out = exact_cover_tileable(BoxSpec((4, 7)), [Brick((2, 2)), Brick((2, 4))])
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "slice axis 1")
+    # no prefilter fires on a tileable box
+    out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((1, 4)), Brick((4, 1)), Brick((3, 3))])
+    assert (out.status, out.pruned_by) == ("sat", None)
 
 
 def test_rows_to_tiling_preserves_exactness():
@@ -262,3 +283,168 @@ def test_solutions_round_trip_to_verified_tilings(data):
     out = exact_cover_tileable(box, bricks)
     if out.status == "sat":
         assert verify_tiling_geometric(out.tiling).ok
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the loop row builder and the min-key solver
+# ---------------------------------------------------------------------------
+
+DIFF_SEED = 41
+
+
+def reference_build_cover_problem(grid):
+    """Rows by nested loops over offsets and footprint cells."""
+    from brickbox.exactcover import CoverProblem, CoverRow, _strides
+
+    strides = _strides(grid.cells)
+    rows = []
+    for brick_idx, footprint in enumerate(grid.brick_footprints):
+        spans = [grid.cells[ax] - footprint[ax] for ax in range(len(grid.cells))]
+        if any(s < 0 for s in spans):
+            continue
+        for offset in product(*(range(s + 1) for s in spans)):
+            covered = tuple(
+                sum((offset[ax] + rel[ax]) * strides[ax] for ax in range(len(offset)))
+                for rel in product(*(range(f) for f in footprint))
+            )
+            rows.append(CoverRow(brick=brick_idx, offset=offset, cells=covered))
+    return CoverProblem(grid=grid, rows=tuple(rows))
+
+
+def reference_solve_exact_cover(problem, limit=None, node_budget=10**7):
+    """Algorithm X picking its column by `min` over (size, id) keys.
+
+    Counts the trial that trips the budget, so a timeout reports one node
+    more than the trials made.
+    """
+    from brickbox.exactcover import CoverOutcome, _deselect, _select
+
+    X = {c: set() for c in range(problem.n_columns)}
+    Y = {}
+    for rid, row in enumerate(problem.rows):
+        Y[rid] = row.cells
+        for c in row.cells:
+            X[c].add(rid)
+    if not X:
+        return CoverOutcome("sat", ((),), 0)
+    solutions = []
+    nodes = 0
+    hit_budget = False
+
+    def candidates():
+        col = min(X, key=lambda c: (len(X[c]), c))
+        return sorted(X[col])
+
+    frames = [[candidates(), 0]]
+    sel_rows = []
+    sel_removed = []
+    while frames:
+        cands, idx = frames[-1]
+        if len(sel_rows) == len(frames):
+            _deselect(X, Y, sel_rows[-1], sel_removed[-1])
+            sel_rows.pop()
+            sel_removed.pop()
+        if idx >= len(cands):
+            frames.pop()
+            continue
+        frames[-1][1] = idx + 1
+        rid = cands[idx]
+        nodes += 1
+        if nodes > node_budget:
+            hit_budget = True
+            break
+        sel_rows.append(rid)
+        sel_removed.append(_select(X, Y, rid))
+        if not X:
+            solutions.append(tuple(sel_rows))
+            if limit is not None and len(solutions) >= limit:
+                break
+            continue
+        frames.append([candidates(), 0])
+    status = "timeout" if hit_budget else ("sat" if solutions else "unsat")
+    return CoverOutcome(status, tuple(solutions), nodes)
+
+
+def random_grid(rng):
+    from brickbox.exactcover import GridModel
+
+    d = rng.randint(1, 3)
+    cells = tuple(rng.randint(1, {1: 16, 2: 7, 3: 4}[d]) for _ in range(d))
+    # a footprint may exceed the grid on an axis, giving that brick no rows
+    footprints = tuple(
+        tuple(rng.randint(1, c + 1) for c in cells) for _ in range(rng.randint(1, 3))
+    )
+    return GridModel(unit=(F(1),) * d, cells=cells, brick_footprints=footprints)
+
+
+def random_matrix(rng):
+    from brickbox.exactcover import CoverProblem, CoverRow, GridModel
+
+    n_columns = rng.randint(1, 12)
+    rows = tuple(
+        CoverRow(
+            brick=0,
+            offset=(i,),
+            cells=tuple(sorted(rng.sample(range(n_columns), rng.randint(1, min(4, n_columns))))),
+        )
+        for i in range(rng.randint(0, 30))
+    )
+    grid = GridModel(unit=(F(1),), cells=(n_columns,), brick_footprints=((1,),))
+    return CoverProblem(grid=grid, rows=rows)
+
+
+def test_stencil_rows_and_solver_match_references_on_seeded_corpus():
+    rng = random.Random(DIFF_SEED)
+    statuses = Counter()
+    for _ in range(2000):
+        if rng.random() < 0.6:
+            grid = random_grid(rng)
+            problem = build_cover_problem(grid)
+            assert problem.rows == reference_build_cover_problem(grid).rows
+        else:
+            problem = random_matrix(rng)
+        limit = rng.choice([1, None])
+        budget = rng.choice([1, 2, 7, 100, 2000])
+        out = solve_exact_cover(problem, limit=limit, node_budget=budget)
+        ref = reference_solve_exact_cover(problem, limit=limit, node_budget=budget)
+        assert (out.status, out.solutions) == (ref.status, ref.solutions)
+        # a timeout now reports the trials made, not the one that tripped
+        assert out.nodes == ref.nodes - (ref.status == "timeout")
+        statuses[out.status] += 1
+    assert min(statuses[s] for s in ("sat", "unsat", "timeout")) >= 50, statuses
+
+
+def test_combination_helper_matches_dynamic_programming():
+    from brickbox.exactcover import _combination_of
+
+    rng = random.Random(DIFF_SEED)
+    for _ in range(300):
+        parts = [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        reachable = {0}
+        for n in range(1, 121):
+            if any(n - p in reachable for p in parts):
+                reachable.add(n)
+        assert all(_combination_of(n, parts) == (n in reachable) for n in range(121))
+
+
+def test_prefilters_are_sound_on_seeded_corpus():
+    # wherever the unfiltered search reaches a verdict, a prefilter only
+    # ever fires on instances the search refutes
+    rng = random.Random(DIFF_SEED + 1)
+    fired = Counter()
+    for _ in range(1500):
+        grid = random_grid(rng)
+        box = BoxSpec(grid.cells)
+        bricks = [Brick(f) for f in grid.brick_footprints]
+        out = exact_cover_tileable(box, bricks, node_budget=3000)
+        full = solve_exact_cover(
+            build_cover_problem(build_grid(box, bricks)), limit=1, node_budget=3000
+        )
+        if full.status == "timeout":
+            continue
+        if out.pruned_by is None:
+            assert (out.status, out.nodes) == (full.status, full.nodes)
+        else:
+            assert (out.status, out.nodes, full.status) == ("unsat", 0, "unsat")
+            fired[out.pruned_by.split()[0]] += 1
+    assert fired["slice"] >= 50 and fired["volume"] >= 20, fired
