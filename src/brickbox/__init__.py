@@ -55,7 +55,6 @@ from .spectral import (
     key_observation_witness,
     random_frequencies,
     residual_sample,
-    translate_phase_sum,
 )
 from .theorem import (
     DecisionOutcome,

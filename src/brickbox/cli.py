@@ -188,7 +188,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     inst = make_instance(args.R)
     tiling = pinwheel_tiling(inst)
-    report = verify_no_proper_split(inst, node_budget=_node_budget(args))
+    report = verify_no_proper_split(
+        inst, node_budget=_node_budget(args), grid_cap=_grid_cap(args)
+    )
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.json").write_text(
@@ -323,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GridTooLarge, BudgetExhausted) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -195,10 +195,14 @@ def proper_split_report(
 
 
 def verify_no_proper_split(
-    inst: ThreeBrickInstance, node_budget: int = DEFAULT_NODE_BUDGET
+    inst: ThreeBrickInstance,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> NoSplitReport:
     """Exhaustively confirm that no cut admits proper-subset tilings."""
-    return proper_split_report(inst.box, inst.bricks, node_budget=node_budget)
+    return proper_split_report(
+        inst.box, inst.bricks, grid_cap=grid_cap, node_budget=node_budget
+    )
 
 
 def lift_to_dimension(t: Tiling, d: int) -> Tiling:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoxSpec, Brick, Placement, Tiling, rational_gcd
+from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, rational_gcd
 
 DEFAULT_GRID_CAP = 10**6
 DEFAULT_NODE_BUDGET = 10**7
@@ -48,10 +48,6 @@ DEFAULT_NODE_BUDGET = 10**7
 SAT = "sat"
 UNSAT = "unsat"
 TIMEOUT = "timeout"
-
-
-class GridTooLarge(Exception):
-    """Raised when discretization would exceed the configured cell cap."""
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
+#: Most arrangement cells `verify_tiling_geometric` allocates (40 MB of int32).
+ARRANGEMENT_CAP = 10**7
+
+
+class GridTooLarge(Exception):
+    """Raised when a grid or arrangement would exceed its cell cap."""
+
 
 def frac(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
@@ -192,7 +199,11 @@ def _arrangement_counts(t: Tiling) -> tuple[np.ndarray, list[tuple[slice, ...]]]
             vals.add(lo[ax])
             vals.add(hi[ax])
         index.append({v: k for k, v in enumerate(sorted(vals))})
-    counts = np.zeros([len(ix) - 1 for ix in index], dtype=np.int32)
+    shape = [len(ix) - 1 for ix in index]
+    total = math.prod(shape)
+    if total > ARRANGEMENT_CAP:
+        raise GridTooLarge(f"arrangement needs {total} cells, cap is {ARRANGEMENT_CAP}")
+    counts = np.zeros(shape, dtype=np.int32)
     windows = [
         tuple(slice(index[ax][lo[ax]], index[ax][hi[ax]]) for ax in range(d))
         for lo, hi in spans
@@ -210,7 +221,8 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     reported as the lexicographically first pair i < j of placements whose
     interiors meet. Otherwise the interiors are disjoint and the placements
     lie inside the box, so they tile it iff the placed volume equals the box
-    volume. All comparisons are exact rational arithmetic.
+    volume. All comparisons are exact rational arithmetic. Raises
+    GridTooLarge when the arrangement has more than ARRANGEMENT_CAP cells.
     """
     counts, windows = _arrangement_counts(t)
     if counts.max() > 1:

@@ -21,15 +21,15 @@ Conventions used throughout:
   a placement is its center minus half the box extents, so the box sits
   centered at the origin.
 
-Floating evaluation is double precision. Residual checks use 1e-9,
-pointwise zero checks 1e-12; frequencies given as exact rationals get
-exact integrality tests instead of tolerances.
+Floats (double precision) are used only to evaluate transforms and
+sampled residuals; residual checks use 1e-9. Zero-set membership is an
+exact integrality test for rational frequencies (floats within 1e-12), so
+the key-observation witness is checked in exact rational arithmetic and
+holds for extents of any size.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,50 +81,18 @@ class KeyObservationWitness:
     in_Z: bool
 
 
-def _factor(c: Fraction, x) -> float:
-    # One axis factor sin(pi*c*x)/(pi*x), with the x = 0 value c.
-    if x == 0:
-        return float(c)
-    if isinstance(x, float):
-        return math.sin(math.pi * float(c) * x) / (math.pi * x)
-    arg = c * frac(x)  # exact product keeps sin() arguments sharp at zeros
-    return math.sin(math.pi * float(arg)) / (math.pi * float(x))
-
-
 def box_transform(dims: Sequence, xi: Frequency) -> float:
     """Transform of the centered box with the given extents, at frequency xi.
 
     Real-valued by symmetry. At xi = 0 this is the volume; it vanishes
     exactly when some coordinate xi_j is a nonzero integer multiple of
-    1/c_j.
+    1/c_j. Evaluated in double precision, as one row of the batch formula
+    `residual_sample` uses.
     """
     cs = tuple(frac(c) for c in dims)
     if len(cs) != len(xi):
         raise ValueError("dims and frequency have different lengths")
-    value = 1.0
-    for c, x in zip(cs, xi):
-        value *= _factor(c, x)
-    return value
-
-
-def translate_phase_sum(offsets: Sequence[Sequence], xi: Frequency) -> complex:
-    """Sum of exp(2*pi*i * lambda.xi) over the given translation vectors.
-
-    When both the offsets and xi are exact rationals the dot product is
-    reduced modulo 1 exactly before exponentiating.
-    """
-    total = 0j
-    exact_xi = all(not isinstance(x, float) for x in xi)
-    for lam in offsets:
-        if len(lam) != len(xi):
-            raise ValueError("offset and frequency have different lengths")
-        if exact_xi and all(not isinstance(v, float) for v in lam):
-            dot = sum((frac(v) * frac(x) for v, x in zip(lam, xi)), Fraction(0))
-            phase = float(dot % 1)
-        else:
-            phase = math.fsum(float(v) * float(x) for v, x in zip(lam, xi))
-        total += cmath.exp(2j * math.pi * phase)
-    return total
+    return float(_box_transform_batch(cs, np.array([[float(x) for x in xi]]))[0])
 
 
 def _box_transform_batch(dims: Sequence[Fraction], pts: np.ndarray) -> np.ndarray:
@@ -215,7 +183,8 @@ def key_observation_witness(
     unit-box normalization (brick extents divided by box extents) the point
     has xi_i = L_i/a_i, xi_j = L_j/b_j and zeros elsewhere: both normalized
     brick transforms vanish there, yet the point misses the zero set of the
-    unit box, where the right-hand side is nonzero.
+    unit box, where the right-hand side is nonzero. All three zero-set
+    tests are exact, so no float is evaluated and no extent is too large.
     """
     d = box.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
@@ -230,13 +199,9 @@ def key_observation_witness(
     point[i] = ratio_a
     point[j] = ratio_b
     point_t = tuple(point)
-    unit_box = BoxSpec((1,) * d)
-    norm_a = tuple(a.dims[ax] / box.dims[ax] for ax in range(d))
-    norm_b = tuple(b.dims[ax] / box.dims[ax] for ax in range(d))
-    member = in_zero_set_Z(point_t, unit_box)
-    fa = box_transform(norm_a, point_t)
-    fb = box_transform(norm_b, point_t)
-    fq = box_transform(unit_box.dims, point_t)
-    if member or abs(fa) >= ZERO_TOL or abs(fb) >= ZERO_TOL or fq == 0.0:
+    norm_a = BoxSpec(tuple(a.dims[ax] / box.dims[ax] for ax in range(d)))
+    norm_b = BoxSpec(tuple(b.dims[ax] / box.dims[ax] for ax in range(d)))
+    member = in_zero_set_Z(point_t, BoxSpec((1,) * d))
+    if member or not in_zero_set_Z(point_t, norm_a) or not in_zero_set_Z(point_t, norm_b):
         raise RuntimeError("witness consistency check failed for a genuine violation")
     return KeyObservationWitness(pair=(i, j), point=point_t, in_Z=member)

@@ -2,6 +2,7 @@
 
 import json
 
+from brickbox import geometry
 from brickbox.cli import main
 
 
@@ -25,6 +26,11 @@ def test_decide_untileable_exits_one_with_witness(capsys):
     payload = json.loads(out)
     assert payload["tileable"] is False
     assert payload["obstruction"]["point"] == ["5/2", "5/2"]
+    # boxes beyond double range still get their exact witness, not a traceback
+    for L in (10**200, 10**400):
+        code, out, err = run(capsys, "decide", "--box", f"{L},{L}", "--brick", "3,1", "--brick", "1,3")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["obstruction"]["point"] == [f"{L}/3"] * 2
 
 
 def test_split_none_exits_one(capsys):
@@ -110,7 +116,7 @@ def test_verify_failing_tiling_exits_one(tmp_path, capsys):
     assert json.loads(out) == {"status": "overlap", "witness": [0, 1]}
 
 
-def test_invalid_input_exits_two(capsys):
+def test_invalid_input_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "decide", "--box", "1,1", "--brick", "1/0,1")
     assert code == 2
     assert "invalid input" in err
@@ -118,9 +124,17 @@ def test_invalid_input_exits_two(capsys):
     assert code == 2  # decide needs exactly two brick types
     code, _, _ = run(capsys, "verify", "--input", "/nonexistent/t.json")
     assert code == 2
+    # extents beyond double range cannot be sampled spectrally
+    huge = tmp_path / "huge.json"
+    code, _, _ = run(capsys, "tile", "--box", f"{10**400},1", "--brick", f"{10**400},1",
+                     "--output", str(huge))
+    assert code == 0
+    code, out, err = run(capsys, "spectral", "--input", str(huge), "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:")
 
 
-def test_budget_exhaustion_exits_three(capsys):
+def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):
     code, out, _ = run(
         capsys,
         "tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5",
@@ -135,6 +149,13 @@ def test_budget_exhaustion_exits_three(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
+    # verify refuses an arrangement above its cell cap
+    tiling = tmp_path / "t.json"
+    run(capsys, "tile", "--box", "1,1", "--brick", "1/2,1", "--output", str(tiling))
+    monkeypatch.setattr(geometry, "ARRANGEMENT_CAP", 1)
+    code, out, err = run(capsys, "verify", "--input", str(tiling))
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: arrangement needs 2 cells, cap is 1")
 
 
 def test_oracle_timeout_reports_trials_made(capsys):
@@ -153,7 +174,7 @@ def test_tile_oracle_area_unsat_is_a_verdict(capsys):
     assert json.loads(out) == {"status": "unsat"}
 
 
-def test_budgets_below_one_exit_two(capsys, monkeypatch):
+def test_budgets_below_one_exit_two(capsys, monkeypatch, tmp_path):
     unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
     code, out, err = run(capsys, *unsat, "--grid-cap", "-1")
     assert (code, out) == (2, "")
@@ -174,6 +195,12 @@ def test_budgets_below_one_exit_two(capsys, monkeypatch):
     code, out, _ = run(capsys, *unsat, "--node-budget", "1")
     assert code == 3
     assert json.loads(out)["status"] == "timeout"
+    # counterexample honours --grid-cap: below 1 is invalid, 3 < 25 cells is a budget
+    for cap, expected in (("-5", 2), ("3", 3)):
+        code, out, _ = run(capsys, "counterexample", "--R", "4", "--output-dir",
+                           str(tmp_path / cap), "--grid-cap", cap)
+        assert (code, out) == (expected, "")
+        assert not (tmp_path / cap).exists()
 
 
 def test_node_budget_env_override(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from brickbox import (
     BoxSpec,
     Brick,
+    GridTooLarge,
     Placement,
     Tiling,
     certificate_to_tiling,
@@ -248,6 +249,20 @@ def test_verify_handles_unaligned_offsets():
     # [1/4, 7/12] and [1/3, 1] meet on (1/3, 7/12).
     assert verify(Placement(0, (F(1, 4),)), Placement(1, (F(1, 3),))).witness == (0, 1)
     assert verify(Placement(0, (F(1, 4),)), Placement(0, (F(7, 12),))).status == "volume-mismatch"
+
+
+def test_verify_refuses_an_arrangement_above_the_cap():
+    # 300 placements at unaligned offsets give about 601 boundaries per axis,
+    # a 2e8-cell arrangement (870 MB of int32) in 3-d: refused before any
+    # allocation.
+    rng = random.Random(3)
+    placements = tuple(
+        Placement(0, tuple(F(rng.randrange(500_001), 10**6) for _ in range(3)))
+        for _ in range(300)
+    )
+    t = Tiling(bricks=(Brick((F(1, 2),) * 3),), placements=placements, box=BoxSpec((1, 1, 1)))
+    with pytest.raises(GridTooLarge, match="arrangement needs"):
+        verify_tiling_geometric(t)
 
 
 def test_tiling_construction_validates():

@@ -13,13 +13,14 @@ from brickbox import (
     Placement,
     Tiling,
     box_transform,
+    frac,
     in_zero_set_Z,
+    key_observation_holds,
     key_observation_witness,
     make_instance,
     pinwheel_tiling,
     random_frequencies,
     residual_sample,
-    translate_phase_sum,
     volume,
 )
 from brickbox.spectral import SpectralReport
@@ -49,6 +50,26 @@ def oracle_phase_sum(offsets, xi):
         cmath.exp(2j * math.pi * sum(float(l) * float(x) for l, x in zip(lam, xi)))
         for lam in offsets
     )
+
+
+def translate_phase_sum(offsets, xi):
+    """Exact-phase reference: sum of exp(2*pi*i * lambda.xi) over the offsets.
+
+    When both the offsets and xi are exact rationals the dot product is
+    reduced modulo 1 exactly before exponentiating.
+    """
+    total = 0j
+    exact_xi = all(not isinstance(x, float) for x in xi)
+    for lam in offsets:
+        if len(lam) != len(xi):
+            raise ValueError("offset and frequency have different lengths")
+        if exact_xi and all(not isinstance(v, float) for v in lam):
+            dot = sum((frac(v) * frac(x) for v, x in zip(lam, xi)), F(0))
+            phase = float(dot % 1)
+        else:
+            phase = math.fsum(float(v) * float(x) for v, x in zip(lam, xi))
+        total += cmath.exp(2j * math.pi * phase)
+    return total
 
 
 def half_columns():
@@ -95,7 +116,7 @@ def test_transform_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# translate_phase_sum
+# translate_phase_sum (the test-side exact-phase reference)
 # ---------------------------------------------------------------------------
 
 
@@ -252,3 +273,34 @@ def test_witness_on_general_box_uses_normalized_extents():
     w = key_observation_witness(box, a, b, 1, 0)
     assert w.point == (F(5, 4), F(5, 4))
     assert w.in_Z is False
+
+
+def test_witness_is_exact_on_seeded_corpus():
+    # Genuine violations in d = 2..4, with extents far beyond double range
+    # on some axes. The witness check is exact, so it never raises; where
+    # floats can hold the extents, both float brick transforms still vanish.
+    rng = random.Random(6)
+    scales = (1, 1, F(1, 7), 10**200, 10**400, F(1, 10**400))
+    witnesses = floated = 0
+    while witnesses < 400:
+        d = rng.randint(2, 4)
+        box = BoxSpec(tuple(
+            rng.choice(scales) * F(rng.randint(1, 40), rng.randint(1, 6)) for _ in range(d)
+        ))
+        a, b = (Brick(tuple(F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(d)))
+                for _ in range(2))
+        violation = key_observation_holds(box, a, b)
+        if violation is None:
+            continue
+        w = key_observation_witness(box, a, b, violation.i, violation.j)
+        witnesses += 1
+        assert w.pair == (violation.i, violation.j) and w.in_Z is False
+        norm_a = tuple(a.dims[k] / box.dims[k] for k in range(d))
+        norm_b = tuple(b.dims[k] / box.dims[k] for k in range(d))
+        try:
+            fa, fb = box_transform(norm_a, w.point), box_transform(norm_b, w.point)
+        except OverflowError:
+            continue
+        assert abs(fa) < 1e-12 and abs(fb) < 1e-12
+        floated += 1
+    assert 100 < floated < witnesses

@@ -226,12 +226,17 @@ def test_decide_tileable_carries_certificate():
 
 
 def test_decide_untileable_carries_obstruction_witness():
-    out = decide_two_brick(BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2))), Brick((F(1, 2), F(2, 5))))
-    assert not out.tileable
-    assert out.obstruction == KeyObservationViolation(i=0, j=1)
-    assert out.witness is not None
-    assert out.witness.point == (F(5, 2), F(5, 2))
-    assert out.witness.in_Z is False
+    # The 10^200 and 10^400 boxes are beyond what a float witness check
+    # survives (underflow, overflow); the exact check holds at any size.
+    cases = [(BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2))), Brick((F(1, 2), F(2, 5))), F(5, 2))]
+    cases += [(BoxSpec((L, L)), Brick((3, 1)), Brick((1, 3)), F(L, 3)) for L in (10**200, 10**400)]
+    for box, a, b, x in cases:
+        out = decide_two_brick(box, a, b)
+        assert not out.tileable
+        assert out.obstruction == KeyObservationViolation(i=0, j=1)
+        assert out.witness is not None
+        assert out.witness.point == (x, x)
+        assert out.witness.in_Z is False
 
 
 def test_decide_untileable_strips():
