@@ -6,8 +6,10 @@ integer cell count, every in-bounds (brick type, integer offset) placement
 becomes a row covering its footprint cells, and tileability becomes exact
 cover (select rows partitioning all cells).
 
-Before any row is built, two necessary conditions are checked on the grid
-alone; either one failing is a proof of UNSAT with no search:
+Before any row is built, and before the grid cell cap is applied, two
+necessary conditions are checked on the grid's counts alone; either one
+failing is a proof of UNSAT with no search (a count above the cap gets the
+gcd test alone, so the check stays bounded):
 
 * slice: a line through cell centres parallel to axis k meets the tiles it
   crosses in whole footprints, so the box's cell count on every axis is a
@@ -18,9 +20,18 @@ alone; either one failing is a proof of UNSAT with no search:
 The rows come from one numpy stencil per brick type: the footprint's cell
 ids broadcast over the base cell of every in-bounds offset.
 
-The search is Knuth-style Algorithm X over a dict-of-sets sparse matrix:
-always branch on the column with the fewest candidate rows (ties broken by
-lowest cell index), try rows in increasing id order. That makes results
+The search is Knuth's Algorithm X over one set of live row ids per column
+plus the header ring of Dancing Links (Knuth, arXiv cs/0011047): the
+uncovered columns form a doubly linked ring in id order. Selecting a row
+unlinks each of its columns from the ring and removes that column's rows
+from their other columns' sets; deselecting undoes both in reverse. A
+covered column's own set is never touched while it is covered (its rows
+leave only other columns' sets), so it still holds exactly the rows to
+put back when the column is uncovered, and nothing is copied or saved.
+The search always branches on the column with the fewest candidate rows,
+found by walking the ring from its root and taking the first minimum (the
+lowest cell id); an empty column ends the walk at once, since nothing can
+cover it. Rows are tried in increasing id order. That makes results
 deterministic and kills adversarial unsatisfiable instances quickly. The
 search is iterative, counts every row trial as a node, and reports hitting
 the node budget as a distinct "timeout" outcome carrying the number of
@@ -35,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import product, repeat
 from typing import Sequence
 
 import numpy as np
@@ -113,13 +124,13 @@ class TileOutcome:
 
 
 def build_grid(
-    box: BoxSpec, bricks: Sequence[Brick], cap: int = DEFAULT_GRID_CAP
+    box: BoxSpec, bricks: Sequence[Brick], cap: float = DEFAULT_GRID_CAP
 ) -> GridModel:
     """Coarsest per-axis grid on which box and all brick extents are integral.
 
     The unit on each axis is the rational gcd of the box extent and every
     brick extent there. Raises GridTooLarge when the total cell count
-    exceeds `cap`.
+    exceeds `cap` (`math.inf` builds the grid uncapped).
     """
     if not bricks:
         raise ValueError("need at least one brick type")
@@ -134,13 +145,17 @@ def build_grid(
             g = rational_gcd(g, b.dims[ax])
         unit.append(g)
     cells = tuple(int(box.dims[ax] / unit[ax]) for ax in range(d))
-    total = math.prod(cells)
-    if total > cap:
-        raise GridTooLarge(f"grid needs {total} cells, cap is {cap}")
     footprints = tuple(
         tuple(int(b.dims[ax] / unit[ax]) for ax in range(d)) for b in bricks
     )
-    return GridModel(unit=tuple(unit), cells=cells, brick_footprints=footprints)
+    grid = GridModel(unit=tuple(unit), cells=cells, brick_footprints=footprints)
+    _require_cap(grid, cap)
+    return grid
+
+
+def _require_cap(grid: GridModel, cap: float) -> None:
+    if grid.cell_count > cap:
+        raise GridTooLarge(f"grid needs {grid.cell_count} cells, cap is {cap}")
 
 
 def _strides(cells: tuple[int, ...]) -> tuple[int, ...]:
@@ -180,15 +195,19 @@ def build_cover_problem(grid: GridModel) -> CoverProblem:
     return CoverProblem(grid=grid, rows=tuple(rows))
 
 
-def _combination_of(n: int, parts: Sequence[int]) -> bool:
-    """Whether n is a nonnegative integer combination of the positive `parts`.
+def _combination_of(n: int, parts: Sequence[int], cap: int) -> bool:
+    """Whether n may be a nonnegative integer combination of the positive `parts`.
 
-    A gcd test, then reachability over 0..n held as the bits of one int:
-    or-ing in shifts by p, 2p, 4p, ... closes the reachable set under adding
-    p, so each part costs O(log n) big-int operations.
+    A gcd test, then, for n <= cap, reachability over 0..n held as the bits
+    of one int: or-ing in shifts by p, 2p, 4p, ... closes the reachable set
+    under adding p, so each part costs O(log n) big-int operations. Above
+    `cap` the mask would outgrow the grid cap, so only the gcd test runs and
+    True means no more than "not refuted".
     """
     if n % math.gcd(*parts):
         return False
+    if n > cap:
+        return True
     mask = (1 << (n + 1)) - 1
     reach = 1
     for p in parts:
@@ -198,16 +217,17 @@ def _combination_of(n: int, parts: Sequence[int]) -> bool:
     return bool(reach >> n & 1)
 
 
-def _prefilter(grid: GridModel) -> str | None:
+def _prefilter(grid: GridModel, cap: int) -> str | None:
     """Name the first failed necessary condition for tileability, or None.
 
     Checks the slice condition on each axis in order, then the volume
-    condition (see the module docstring).
+    condition (see the module docstring); counts above `cap` get the gcd
+    test alone.
     """
     for ax, n in enumerate(grid.cells):
-        if not _combination_of(n, [f[ax] for f in grid.brick_footprints]):
+        if not _combination_of(n, [f[ax] for f in grid.brick_footprints], cap):
             return f"slice axis {ax}"
-    if not _combination_of(grid.cell_count, [math.prod(f) for f in grid.brick_footprints]):
+    if not _combination_of(grid.cell_count, [math.prod(f) for f in grid.brick_footprints], cap):
         return "volume"
     return None
 
@@ -225,26 +245,6 @@ def cover_matrix_text(problem: CoverProblem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _select(X: dict, Y: dict, rid: int) -> list:
-    removed = []
-    for j in Y[rid]:
-        for i in X[j]:
-            for k in Y[i]:
-                if k != j:
-                    X[k].remove(i)
-        removed.append(X.pop(j))
-    return removed
-
-
-def _deselect(X: dict, Y: dict, rid: int, removed: list) -> None:
-    for j in reversed(Y[rid]):
-        X[j] = removed.pop()
-        for i in X[j]:
-            for k in Y[i]:
-                if k != j:
-                    X[k].add(i)
-
-
 def solve_exact_cover(
     problem: CoverProblem,
     limit: int | None = None,
@@ -257,39 +257,62 @@ def solve_exact_cover(
     `node_budget` row trials (any solutions already found are included).
     With limit=1 the first solution is returned as soon as it is found.
     """
-    X: dict[int, set[int]] = {c: set() for c in range(problem.n_columns)}
-    Y: dict[int, tuple[int, ...]] = {}
-    for rid, row in enumerate(problem.rows):
-        Y[rid] = row.cells
-        for c in row.cells:
-            X[c].add(rid)
-
-    if not X:
+    n = problem.n_columns
+    if not n:
         return CoverOutcome(SAT, ((),), 0)
+    Y = [row.cells for row in problem.rows]
+    X: list[set[int]] = [set() for _ in range(n)]
+    for rid, cells in enumerate(Y):
+        for c in cells:
+            X[c].add(rid)
+    # Uncovered columns as a ring in id order: L/R hold each column's
+    # neighbours, and index n is the root.
+    L = list(range(-1, n))
+    L[0] = n
+    R = list(range(1, n + 2))
+    R[n] = 0
+
+    def select(rid: int) -> None:
+        for j in Y[rid]:
+            left, right = L[j], R[j]
+            R[left], L[right] = right, left
+            for i in X[j]:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].remove(i)
+
+    def deselect(rid: int) -> None:
+        for j in reversed(Y[rid]):
+            for i in X[j]:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].add(i)
+            R[L[j]] = L[R[j]] = j
+
+    def candidates() -> list[int]:
+        # Fewest candidates first, lowest column id on ties; an empty
+        # column ends the walk, since no row can cover it.
+        best, fewest = n, len(Y) + 1
+        c = R[n]
+        while c != n:
+            size = len(X[c])
+            if size < fewest:
+                if not size:
+                    return []
+                best, fewest = c, size
+            c = R[c]
+        return sorted(X[best])
 
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     hit_budget = False
-
-    def candidates() -> list[int]:
-        # Fewest candidates first, lowest column id on ties; the dict's
-        # order is not id order once columns have been popped and restored.
-        sizes = list(map(len, X.values()))
-        fewest = min(sizes)
-        if not fewest:
-            return []
-        return sorted(X[min(compress(X, map(fewest.__eq__, sizes)))])
-
     frames: list[list] = [[candidates(), 0]]
     sel_rows: list[int] = []
-    sel_removed: list[list] = []
 
     while frames:
         cands, idx = frames[-1]
         if len(sel_rows) == len(frames):
-            _deselect(X, Y, sel_rows[-1], sel_removed[-1])
-            sel_rows.pop()
-            sel_removed.pop()
+            deselect(sel_rows.pop())
         if idx >= len(cands):
             frames.pop()
             continue
@@ -300,8 +323,8 @@ def solve_exact_cover(
             break
         nodes += 1
         sel_rows.append(rid)
-        sel_removed.append(_select(X, Y, rid))
-        if not X:
+        select(rid)
+        if R[n] == n:
             solutions.append(tuple(sel_rows))
             if limit is not None and len(solutions) >= limit:
                 break
@@ -343,13 +366,14 @@ def exact_cover_tileable(
     Returns a tiling (which passes geometric verification) when satisfiable,
     "unsat" when a prefilter (named in `pruned_by`, with 0 nodes) or the
     exhaustive search rules a tiling out, and "timeout" when the node budget
-    was exhausted first. Raises GridTooLarge when the instance does not fit
-    the grid cap.
+    was exhausted first. Raises GridTooLarge when no prefilter refutes an
+    instance that does not fit the grid cap.
     """
-    grid = build_grid(box, bricks, cap=grid_cap)
-    pruned_by = _prefilter(grid)
+    grid = build_grid(box, bricks, cap=math.inf)
+    pruned_by = _prefilter(grid, grid_cap)
     if pruned_by is not None:
         return TileOutcome(UNSAT, pruned_by=pruned_by)
+    _require_cap(grid, grid_cap)
     problem = build_cover_problem(grid)
     outcome = solve_exact_cover(problem, limit=1, node_budget=node_budget)
     if outcome.status == SAT:

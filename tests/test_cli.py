@@ -174,6 +174,17 @@ def test_tile_oracle_area_unsat_is_a_verdict(capsys):
     assert json.loads(out) == {"status": "unsat"}
 
 
+def test_tile_oracle_prefilters_run_before_the_grid_cap(capsys):
+    bars = ["--brick", "1,4", "--brick", "4,1"]
+    # 1001**2 cells exceed the cap, but an odd count is no sum of 4s
+    code, out, err = run(capsys, "tile", "--oracle", "--box", "1001,1001", *bars)
+    assert (code, json.loads(out), err) == (1, {"status": "unsat"}, "")
+    # 1002**2 is a sum of 4s, so the cap decides
+    code, out, err = run(capsys, "tile", "--oracle", "--box", "1002,1002", *bars)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: grid needs 1004004 cells, cap is 1000000")
+
+
 def test_budgets_below_one_exit_two(capsys, monkeypatch, tmp_path):
     unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
     code, out, err = run(capsys, *unsat, "--grid-cap", "-1")

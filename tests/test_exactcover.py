@@ -1,5 +1,6 @@
 """Grid discretization and the exact-cover search."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -179,6 +180,35 @@ def test_prefilters_name_the_failed_condition():
     assert (out.status, out.pruned_by) == ("sat", None)
 
 
+def test_prefilters_run_before_the_grid_cap():
+    bars = [Brick((1, 4)), Brick((4, 1))]
+    # 1001**2 cells exceed the default cap, but an odd count is no sum of 4s
+    out = exact_cover_tileable(BoxSpec((1001, 1001)), bars)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "volume")
+    out = exact_cover_tileable(BoxSpec((13, 13)), bars, grid_cap=100)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "volume")
+    # an axis far beyond the cap still gets the gcd test: 2 does not divide it
+    out = exact_cover_tileable(BoxSpec((10**9 + 1, 2)), [Brick((2, 2)), Brick((4, 2))])
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "slice axis 0")
+    # what no filter refutes still fails on the cap
+    for n in (1002, 10**9):
+        with pytest.raises(GridTooLarge, match=f"grid needs {n * n} cells, cap is 1000000$"):
+            exact_cover_tileable(BoxSpec((n, n)), bars)
+
+
+def test_solver_pins_the_costliest_search_instances():
+    # deep searches no prefilter cuts short, pinned by node count: UNSAT
+    # only by search, or past the node budget
+    cases = [
+        ((18, 18), [(3, 4), (4, 3)], 10**7, "unsat", 1211),
+        ((10, 8), [(4, 5), (1, 6), (3, 1)], 10**7, "unsat", 1122),
+        ((14, 14), [(1, 4), (4, 1)], 10_000, "timeout", 10_000),
+    ]
+    for box, bricks, budget, status, nodes in cases:
+        out = exact_cover_tileable(BoxSpec(box), [Brick(b) for b in bricks], node_budget=budget)
+        assert (out.status, out.nodes, out.pruned_by) == (status, nodes, None)
+
+
 def test_rows_to_tiling_preserves_exactness():
     box = BoxSpec((1, 1))
     bricks = [Brick((F(1, 2), F(1, 2)))]
@@ -311,13 +341,33 @@ def reference_build_cover_problem(grid):
     return CoverProblem(grid=grid, rows=tuple(rows))
 
 
+def _select(X: dict, Y: dict, rid: int) -> list:
+    removed = []
+    for j in Y[rid]:
+        for i in X[j]:
+            for k in Y[i]:
+                if k != j:
+                    X[k].remove(i)
+        removed.append(X.pop(j))
+    return removed
+
+
+def _deselect(X: dict, Y: dict, rid: int, removed: list) -> None:
+    for j in reversed(Y[rid]):
+        X[j] = removed.pop()
+        for i in X[j]:
+            for k in Y[i]:
+                if k != j:
+                    X[k].add(i)
+
+
 def reference_solve_exact_cover(problem, limit=None, node_budget=10**7):
-    """Algorithm X picking its column by `min` over (size, id) keys.
+    """Dict-of-sets Algorithm X picking its column by `min` over (size, id) keys.
 
     Counts the trial that trips the budget, so a timeout reports one node
     more than the trials made.
     """
-    from brickbox.exactcover import CoverOutcome, _deselect, _select
+    from brickbox.exactcover import CoverOutcome
 
     X = {c: set() for c in range(problem.n_columns)}
     Y = {}
@@ -393,7 +443,18 @@ def random_matrix(rng):
     return CoverProblem(grid=grid, rows=rows)
 
 
+def solve_like_reference(problem, limit, budget):
+    out = solve_exact_cover(problem, limit=limit, node_budget=budget)
+    ref = reference_solve_exact_cover(problem, limit=limit, node_budget=budget)
+    assert (out.status, out.solutions) == (ref.status, ref.solutions)
+    # a timeout reports the trials made, not the one that tripped
+    assert out.nodes == ref.nodes - (ref.status == "timeout")
+    return out
+
+
 def test_stencil_rows_and_solver_match_references_on_seeded_corpus():
+    from brickbox.exactcover import GridModel
+
     rng = random.Random(DIFF_SEED)
     statuses = Counter()
     for _ in range(2000):
@@ -403,15 +464,23 @@ def test_stencil_rows_and_solver_match_references_on_seeded_corpus():
             assert problem.rows == reference_build_cover_problem(grid).rows
         else:
             problem = random_matrix(rng)
-        limit = rng.choice([1, None])
-        budget = rng.choice([1, 2, 7, 100, 2000])
-        out = solve_exact_cover(problem, limit=limit, node_budget=budget)
-        ref = reference_solve_exact_cover(problem, limit=limit, node_budget=budget)
-        assert (out.status, out.solutions) == (ref.status, ref.solutions)
-        # a timeout now reports the trials made, not the one that tripped
-        assert out.nodes == ref.nodes - (ref.status == "timeout")
+        out = solve_like_reference(problem, rng.choice([1, None]), rng.choice([1, 2, 7, 100, 2000]))
         statuses[out.status] += 1
     assert min(statuses[s] for s in ("sat", "unsat", "timeout")) >= 50, statuses
+    # a deeper slice pins the search order well past 2000 nodes: every
+    # solution of 2-d grids up to 6x6, under budgets up to 10**5
+    deep = Counter()
+    for _ in range(100):
+        cells = (rng.randint(3, 6), rng.randint(3, 6))
+        footprints = tuple(
+            tuple(rng.randint(1, min(c, 3)) for c in cells) for _ in range(rng.randint(2, 3))
+        )
+        grid = GridModel(unit=(F(1), F(1)), cells=cells, brick_footprints=footprints)
+        out = solve_like_reference(
+            build_cover_problem(grid), None, rng.choice([5_000, 20_000, 100_000])
+        )
+        deep[out.status, out.nodes > 2000] += 1
+    assert deep["sat", True] >= 5 and deep["timeout", True] >= 5, deep
 
 
 def test_combination_helper_matches_dynamic_programming():
@@ -424,7 +493,10 @@ def test_combination_helper_matches_dynamic_programming():
         for n in range(1, 121):
             if any(n - p in reachable for p in parts):
                 reachable.add(n)
-        assert all(_combination_of(n, parts) == (n in reachable) for n in range(121))
+        assert all(_combination_of(n, parts, 120) == (n in reachable) for n in range(121))
+        # above the cap only the gcd test runs, so nothing unproved is refuted
+        g = math.gcd(*parts)
+        assert all(_combination_of(n, parts, n - 1) == (n % g == 0) for n in range(1, 121))
 
 
 def test_prefilters_are_sound_on_seeded_corpus():
