@@ -67,12 +67,6 @@ class SplitEntry:
     def both_sat(self) -> bool:
         return self.left_sat and self.right_sat
 
-    @property
-    def outcome(self) -> str:
-        if self.both_sat:
-            return "both-SAT"
-        return "left-UNSAT" if not self.left_sat else "right-UNSAT"
-
 
 @dataclass(frozen=True)
 class NoSplitReport:

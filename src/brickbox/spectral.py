@@ -148,9 +148,11 @@ def residual_sample(
     """
     if not points:
         raise ValueError("need at least one sample point")
-    pts = np.array([[float(x) for x in p] for p in points], dtype=float)
-    if pts.shape[1] != t.box.dim:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != t.box.dim:
         raise ValueError("sample points and box have different dimensions")
+    if any(float(length) == 0.0 for length in t.box.dims):
+        raise ValueError("box extent below double range")
     half = tuple(length / 2 for length in t.box.dims)
     total = np.zeros(pts.shape[0], dtype=complex)
     for k, brick in enumerate(t.bricks):

@@ -95,23 +95,22 @@ def key_observation_holds(
     violating pair. For d < 2 no pair i != j exists, so None is returned.
     """
     bad_a, bad_b = _bad_axes(box, a), _bad_axes(box, b)
-    pairs = [(i, j) for i in bad_a for j in bad_b if i != j]
-    return KeyObservationViolation(*pairs[0]) if pairs else None
+    pair = next(((i, j) for i in bad_a for j in bad_b if i != j), None)
+    return KeyObservationViolation(*pair) if pair else None
 
 
-def solve_axis_combination(L, a, b) -> list[tuple[int, int]]:
-    """All nonnegative integer pairs (m, n) with m*a + n*b = L, by increasing m."""
+def solve_axis_combination(L, a, b) -> tuple[int, int] | None:
+    """The nonnegative integer pair (m, n) with m*a + n*b = L and least m, or None."""
     Lf, af, bf = frac(L), frac(a), frac(b)
     if Lf <= 0 or af <= 0 or bf <= 0:
         raise ValueError("lengths must be strictly positive")
-    out: list[tuple[int, int]] = []
     m = 0
     while m * af <= Lf:
         n = (Lf - m * af) / bf
         if n.denominator == 1:
-            out.append((m, int(n)))
+            return m, int(n)
         m += 1
-    return out
+    return None
 
 
 def find_split(box: BoxSpec, a: Brick, b: Brick) -> SplitCertificate | None:
@@ -134,10 +133,10 @@ def find_split(box: BoxSpec, a: Brick, b: Brick) -> SplitCertificate | None:
     if len(bad_a) != 1 or bad_a != bad_b:
         return None
     (k,) = bad_a
-    pairs = solve_axis_combination(box.dims[k], a.dims[k], b.dims[k])
-    if not pairs:
+    pair = solve_axis_combination(box.dims[k], a.dims[k], b.dims[k])
+    if pair is None:
         return None
-    m, n = pairs[0]
+    m, n = pair
     return SplitCertificate(axis=k, m=m, n=n, cut=m * a.dims[k])
 
 
@@ -180,12 +179,13 @@ def validate_certificate(
     if cert.cut != cert.m * a.dims[axis]:
         raise ValueError("cut position does not match m * a_axis")
     # First failing cross axis; on the same axis brick a is reported first.
-    misfits = sorted(
+    misfit = min(
         [(i, "a") for i in _bad_axes(box, a) if cert.m > 0 and i != axis]
-        + [(i, "b") for i in _bad_axes(box, b) if cert.n > 0 and i != axis]
+        + [(i, "b") for i in _bad_axes(box, b) if cert.n > 0 and i != axis],
+        default=None,
     )
-    if misfits:
-        i, name = misfits[0]
+    if misfit is not None:
+        i, name = misfit
         raise ValueError(f"brick {name} does not divide the box on cross axis {i}")
 
 
@@ -194,20 +194,12 @@ def _slab_placements(
 ) -> list[Placement]:
     # Grid of `layers` copies along `axis` starting at `base`, with
     # box.dims[i]/brick.dims[i] copies on every other axis.
-    if layers == 0:
-        return []
-    counts = [
-        layers if i == axis else int(box.dims[i] / brick.dims[i])
-        for i in range(box.dim)
+    offsets = [
+        [base + k * ext for k in range(layers)] if i == axis
+        else [k * ext for k in range(int(length / ext))]
+        for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
     ]
-    placements = []
-    for combo in product(*(range(c) for c in counts)):
-        offset = tuple(
-            (base if i == axis else Fraction(0)) + combo[i] * brick.dims[i]
-            for i in range(box.dim)
-        )
-        placements.append(Placement(brick_index, offset))
-    return placements
+    return [Placement(brick_index, offset) for offset in product(*offsets)]
 
 
 def certificate_to_tiling(

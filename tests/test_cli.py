@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, emitted artifacts."""
 
 import json
+from fractions import Fraction
 
 from brickbox import geometry
 from brickbox.cli import main
+from brickbox.serialization import tiling_to_obj
 
 
 def run(capsys, *argv):
@@ -130,6 +132,20 @@ def test_invalid_input_exits_two(capsys, tmp_path):
                      "--output", str(huge))
     assert code == 0
     code, out, err = run(capsys, "spectral", "--input", str(huge), "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:")
+    # so can extents below it: this box is half empty, but as floats every
+    # extent and the residual would read 0.0
+    tiny = tmp_path / "tiny.json"
+    eps = Fraction(1, 10**400)
+    tiny.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+        bricks=(geometry.Brick((eps / 2, 1)),),
+        placements=(geometry.Placement(0, (0, 0)),),
+        box=geometry.BoxSpec((eps, 1)),
+    ))))
+    code, out, _ = run(capsys, "verify", "--input", str(tiny))
+    assert (code, json.loads(out)["status"]) == (1, "volume-mismatch")
+    code, out, err = run(capsys, "spectral", "--input", str(tiny), "--tolerance", "1e-9")
     assert (code, out) == (2, "")
     assert err.startswith("invalid input:")
 

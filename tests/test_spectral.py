@@ -204,6 +204,15 @@ def test_residual_sample_input_validation():
         residual_sample(half_columns(), [(0.0,)])
     with pytest.raises(ValueError):
         SpectralReport(samples=0, max_abs_residual=0.0)
+    # A half-empty box whose extents, and so whose residual, read 0.0 as floats.
+    eps = F(1, 10**400)
+    tiny = Tiling(
+        bricks=(Brick((eps / 2, F(1))),),
+        placements=(Placement(0, (F(0), F(0))),),
+        box=BoxSpec((eps, F(1))),
+    )
+    with pytest.raises(ValueError, match="below double range"):
+        residual_sample(tiny, [(0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
