@@ -30,6 +30,7 @@ holds for extents of any size.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,8 +152,8 @@ def residual_sample(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != t.box.dim:
         raise ValueError("sample points and box have different dimensions")
-    if any(float(length) == 0.0 for length in t.box.dims):
-        raise ValueError("box extent below double range")
+    if math.prod(float(length) for length in t.box.dims) == 0.0:
+        raise ValueError("box volume below double range")
     half = tuple(length / 2 for length in t.box.dims)
     total = np.zeros(pts.shape[0], dtype=complex)
     for k, brick in enumerate(t.bricks):

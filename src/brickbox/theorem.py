@@ -193,7 +193,10 @@ def _slab_placements(
     brick_index: int, brick: Brick, box: BoxSpec, axis: int, layers: int, base: Fraction
 ) -> list[Placement]:
     # Grid of `layers` copies along `axis` starting at `base`, with
-    # box.dims[i]/brick.dims[i] copies on every other axis.
+    # box.dims[i]/brick.dims[i] copies on every other axis. An unused brick
+    # may not divide the cross axes, so it must not build their offsets.
+    if not layers:
+        return []
     offsets = [
         [base + k * ext for k in range(layers)] if i == axis
         else [k * ext for k in range(int(length / ext))]

@@ -134,20 +134,20 @@ def test_invalid_input_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "spectral", "--input", str(huge), "--samples", "3")
     assert (code, out) == (2, "")
     assert err.startswith("invalid input:")
-    # so can extents below it: this box is half empty, but as floats every
-    # extent and the residual would read 0.0
+    # so can volumes below it: these boxes are half empty, but as floats the
+    # volume and the residual would read 0.0
     tiny = tmp_path / "tiny.json"
-    eps = Fraction(1, 10**400)
-    tiny.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
-        bricks=(geometry.Brick((eps / 2, 1)),),
-        placements=(geometry.Placement(0, (0, 0)),),
-        box=geometry.BoxSpec((eps, 1)),
-    ))))
-    code, out, _ = run(capsys, "verify", "--input", str(tiny))
-    assert (code, json.loads(out)["status"]) == (1, "volume-mismatch")
-    code, out, err = run(capsys, "spectral", "--input", str(tiny), "--tolerance", "1e-9")
-    assert (code, out) == (2, "")
-    assert err.startswith("invalid input:")
+    for box_dims in ((Fraction(1, 10**400), 1), (Fraction(1, 10**200), Fraction(1, 10**200))):
+        tiny.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+            bricks=(geometry.Brick((box_dims[0] / 2, box_dims[1])),),
+            placements=(geometry.Placement(0, (0, 0)),),
+            box=geometry.BoxSpec(box_dims),
+        ))))
+        code, out, _ = run(capsys, "verify", "--input", str(tiny))
+        assert (code, json.loads(out)["status"]) == (1, "volume-mismatch")
+        code, out, err = run(capsys, "spectral", "--input", str(tiny), "--tolerance", "1e-9")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:")
 
 
 def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):

@@ -204,15 +204,16 @@ def test_residual_sample_input_validation():
         residual_sample(half_columns(), [(0.0,)])
     with pytest.raises(ValueError):
         SpectralReport(samples=0, max_abs_residual=0.0)
-    # A half-empty box whose extents, and so whose residual, read 0.0 as floats.
-    eps = F(1, 10**400)
-    tiny = Tiling(
-        bricks=(Brick((eps / 2, F(1))),),
-        placements=(Placement(0, (F(0), F(0))),),
-        box=BoxSpec((eps, F(1))),
-    )
-    with pytest.raises(ValueError, match="below double range"):
-        residual_sample(tiny, [(0.0, 0.0)])
+    # Half-empty boxes whose float volume, and so whose residual, reads 0.0:
+    # one extent below double range, or two representable ones whose product is.
+    for box_dims in ((F(1, 10**400), F(1)), (F(1, 10**200), F(1, 10**200))):
+        tiny = Tiling(
+            bricks=(Brick((box_dims[0] / 2, box_dims[1])),),
+            placements=(Placement(0, (F(0), F(0))),),
+            box=BoxSpec(box_dims),
+        )
+        with pytest.raises(ValueError, match="below double range"):
+            residual_sample(tiny, [(0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from brickbox import (
     Brick,
     DecisionOutcome,
     KeyObservationViolation,
+    Placement,
     SplitCertificate,
     certificate_to_tiling,
     decide_two_brick,
@@ -185,6 +186,13 @@ def test_certificate_to_tiling_degenerate_uses_one_type():
     assert all(p.brick_index == 1 for p in t.placements)
     assert len(t.placements) == 4
     assert verify_tiling_geometric(t).ok
+
+
+def test_certificate_to_tiling_skips_the_unused_brick_grid():
+    # Brick b is unused and has 10**9 copies across axis 1: no offsets for it.
+    cert = SplitCertificate(axis=0, m=1, n=0, cut=F(1))
+    t = certificate_to_tiling(cert, BoxSpec((1, 1)), Brick((1, 1)), Brick((1, F(1, 10**9))))
+    assert t.placements == (Placement(0, (F(0), F(0))),)
 
 
 def test_certificate_to_tiling_three_dimensional_stack():
