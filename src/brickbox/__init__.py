@@ -16,7 +16,6 @@ from .counterexample import (
     make_instance,
     pinwheel_tiling,
     proper_split_report,
-    verify_no_proper_split,
 )
 from .exactcover import (
     DEFAULT_GRID_CAP,

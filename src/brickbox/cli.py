@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -17,10 +18,11 @@ from pathlib import Path
 
 from . import serialization as ser
 from .counterexample import (
+    CUT_JUSTIFICATION,
     BudgetExhausted,
     make_instance,
     pinwheel_tiling,
-    verify_no_proper_split,
+    proper_split_report,
 )
 from .exactcover import (
     DEFAULT_GRID_CAP,
@@ -105,6 +107,25 @@ def _emit(args: argparse.Namespace, payload) -> None:
         sys.stdout.write(text)
 
 
+def _require_placements_within(
+    cap: int, box: BoxSpec, axis: int, slabs: list[tuple[Brick, int]]
+) -> None:
+    # Each used brick of a slab grid is placed `layers` times along `axis`
+    # and L_i/c_i times on every other axis; an unused brick may not divide
+    # the cross axes, so it is not counted.
+    count = sum(
+        layers * math.prod(
+            int(length / ext)
+            for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
+            if i != axis
+        )
+        for brick, layers in slabs
+        if layers
+    )
+    if count > cap:
+        raise GridTooLarge(f"tiling needs {count} placements, cap is {cap}")
+
+
 def _require_two(bricks: list[Brick]) -> tuple[Brick, Brick]:
     if len(bricks) != 2:
         raise ValueError("this command needs exactly two --brick arguments")
@@ -155,6 +176,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
             return EXIT_NEGATIVE
         brick = bricks[0]
         layers = int(box.dims[0] / brick.dims[0])
+        _require_placements_within(grid_cap, box, 0, [(brick, layers)])
         placements = _slab_placements(0, brick, box, 0, layers, Fraction(0))
         _emit(args, ser.tiling_to_obj(Tiling(bricks=(brick,), placements=placements, box=box)))
         return EXIT_OK
@@ -163,7 +185,9 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if not outcome.tileable:
         _emit(args, {"status": "unsat", "decision": ser.decision_to_obj(outcome)})
         return EXIT_NEGATIVE
-    tiling = certificate_to_tiling(outcome.certificate, box, a, b)
+    cert = outcome.certificate
+    _require_placements_within(grid_cap, box, cert.axis, [(a, cert.m), (b, cert.n)])
+    tiling = certificate_to_tiling(cert, box, a, b)
     _emit(args, ser.tiling_to_obj(tiling))
     return EXIT_OK
 
@@ -176,11 +200,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
+    tol = args.tolerance
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tolerance must be finite and nonnegative: {tol}")
     tiling = _load_tiling(args)
     points = random_frequencies(tiling.box.dim, args.samples, args.seed, args.bound)
     report = residual_sample(tiling, points, seed=args.seed)
     _emit(args, ser.spectral_report_to_obj(report))
-    if args.tolerance is not None and report.max_abs_residual > args.tolerance:
+    if tol is not None and report.max_abs_residual > tol:
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -188,8 +215,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     inst = make_instance(args.R)
     tiling = pinwheel_tiling(inst)
-    report = verify_no_proper_split(
-        inst, node_budget=_node_budget(args), grid_cap=_grid_cap(args)
+    report = proper_split_report(
+        inst.box, inst.bricks, node_budget=_node_budget(args), grid_cap=_grid_cap(args)
     )
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -225,7 +252,7 @@ def _print_nosplit_summary(inst, report) -> None:
     else:
         e = report.split_found
         print(f"verdict: split found at axis {e.axis + 1}, cut {e.alpha}")
-    print(f"note: {report.cut_justification}")
+    print(f"note: {CUT_JUSTIFICATION}")
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -255,7 +282,11 @@ def _add_instance_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-cap", type=int, help=f"max grid cells (default {DEFAULT_GRID_CAP})")
+    p.add_argument(
+        "--grid-cap",
+        type=int,
+        help=f"max grid cells, or theorem-path tiling placements (default {DEFAULT_GRID_CAP})",
+    )
     p.add_argument(
         "--node-budget",
         type=int,

@@ -80,7 +80,6 @@ class NoSplitReport:
     box: BoxSpec
     bricks: tuple[Brick, ...]
     entries: tuple[SplitEntry, ...]
-    cut_justification: str = CUT_JUSTIFICATION
 
     @property
     def split_found(self) -> SplitEntry | None:
@@ -128,21 +127,19 @@ def _proper_subsets(count: int) -> list[tuple[int, ...]]:
 def proper_split_report(
     box: BoxSpec,
     bricks: tuple[Brick, ...],
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
     grid_cap: int = DEFAULT_GRID_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> NoSplitReport:
     """Decide every (axis, cut, subset-pair) combination for the given box.
 
-    `pairs` defaults to all ordered pairs of nonempty proper subsets of the
-    brick types, ordered by size then lexicographically. Each side is
-    decided by the exact-cover oracle; a timeout on any side raises
-    BudgetExhausted rather than skewing the verdict.
+    The pairs are all ordered pairs of nonempty proper subsets of the brick
+    types, ordered by size then lexicographically. Each side is decided by
+    the exact-cover oracle; a timeout on any side raises BudgetExhausted
+    rather than skewing the verdict.
     """
     bricks = tuple(bricks)
-    if pairs is None:
-        subsets = _proper_subsets(len(bricks))
-        pairs = [(s, t) for s in subsets for t in subsets]
+    subsets = _proper_subsets(len(bricks))
+    pairs = [(s, t) for s in subsets for t in subsets]
     grid = build_grid(box, bricks, cap=grid_cap)
     memo: dict[tuple, bool] = {}
 
@@ -179,24 +176,13 @@ def proper_split_report(
                     SplitEntry(
                         axis=axis,
                         alpha=alpha,
-                        left_subset=tuple(s),
-                        right_subset=tuple(t),
-                        left_sat=side_tileable(left, tuple(s)),
-                        right_sat=side_tileable(right, tuple(t)),
+                        left_subset=s,
+                        right_subset=t,
+                        left_sat=side_tileable(left, s),
+                        right_sat=side_tileable(right, t),
                     )
                 )
     return NoSplitReport(box=box, bricks=bricks, entries=tuple(entries))
-
-
-def verify_no_proper_split(
-    inst: ThreeBrickInstance,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    grid_cap: int = DEFAULT_GRID_CAP,
-) -> NoSplitReport:
-    """Exhaustively confirm that no cut admits proper-subset tilings."""
-    return proper_split_report(
-        inst.box, inst.bricks, grid_cap=grid_cap, node_budget=node_budget
-    )
 
 
 def lift_to_dimension(t: Tiling, d: int) -> Tiling:

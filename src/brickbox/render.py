@@ -33,6 +33,8 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
     """Render a 2-d tiling as an SVG document string (byte-deterministic)."""
     if t.box.dim != 2:
         raise ValueError("only 2-d tilings can be rendered")
+    if scale < 1:
+        raise ValueError(f"scale must be at least 1: {scale}")
     width = t.box.dims[0] * scale
     height = t.box.dims[1] * scale
     lines = [

@@ -121,8 +121,8 @@ def certificate_to_obj(cert: SplitCertificate) -> dict:
         "m": cert.m,
         "n": cert.n,
         "cut": format_rational(cert.cut),
-        "left_brick": cert.left_brick,
-        "right_brick": cert.right_brick,
+        "left_brick": 0,
+        "right_brick": 1,
     }
 
 
@@ -141,15 +141,15 @@ def certificate_from_obj(obj: Any) -> SplitCertificate:
     for v in (m, n, left, right):
         if not isinstance(v, int) or v < 0:
             raise ValueError("certificate counts and indices must be nonnegative integers")
-    return SplitCertificate(axis=axis - 1, m=m, n=n, cut=cut, left_brick=left, right_brick=right)
+    if (left, right) != (0, 1):
+        raise ValueError("certificate must put brick 0 left of the cut and brick 1 right")
+    return SplitCertificate(axis=axis - 1, m=m, n=n, cut=cut)
 
 
-def witness_to_obj(v: KeyObservationViolation, w: KeyObservationWitness | None) -> dict:
-    obj: dict = {"i": v.i + 1, "j": v.j + 1}
-    if w is not None:
-        obj["point"] = _rational_list(w.point)
-        obj["in_Z"] = w.in_Z
-    return obj
+def witness_to_obj(v: KeyObservationViolation, w: KeyObservationWitness) -> dict:
+    # A witness point never lies in the unit box's zero set Z
+    # (key_observation_witness raises otherwise), so "in_Z" is always false.
+    return {"i": v.i + 1, "j": v.j + 1, "point": _rational_list(w.point), "in_Z": False}
 
 
 def decision_to_obj(outcome: DecisionOutcome) -> dict:

@@ -23,9 +23,9 @@ Conventions used throughout:
 
 Floats (double precision) are used only to evaluate transforms and
 sampled residuals; residual checks use 1e-9. Zero-set membership is an
-exact integrality test for rational frequencies (floats within 1e-12), so
-the key-observation witness is checked in exact rational arithmetic and
-holds for extents of any size.
+exact integrality test on rational frequencies, so the key-observation
+witness is checked in exact rational arithmetic and holds for extents of
+any size.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ import numpy as np
 
 from .geometry import BoxSpec, Brick, Tiling, frac
 
-#: A frequency vector: float coordinates, or exact rationals where the
-#: caller wants exact zero-set tests.
+#: A frequency vector of float coordinates.
 Frequency = Sequence[float]
-
-ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ class KeyObservationWitness:
 
     pair: tuple[int, int]
     point: tuple[Fraction, ...]
-    in_Z: bool
 
 
 def box_transform(dims: Sequence, xi: Frequency) -> float:
@@ -109,31 +105,32 @@ def _box_transform_batch(dims: Sequence[Fraction], pts: np.ndarray) -> np.ndarra
     return out
 
 
-def in_zero_set_Z(xi: Frequency, box: BoxSpec) -> bool:
+def in_zero_set_Z(xi: Sequence, box: BoxSpec) -> bool:
     """Membership in the zero set of the box transform.
 
     True iff some coordinate xi_j is a nonzero integer multiple of 1/L_j.
-    Rational coordinates are tested exactly; floats within 1e-12.
+    The test is exact, so coordinates must be rationals; a float reached
+    in the scan raises TypeError.
     """
     if len(xi) != box.dim:
         raise ValueError("frequency and box have different dimensions")
     for x, length in zip(xi, box.dims):
-        if isinstance(x, float):
-            y = x * float(length)
-            k = round(y)
-            if k != 0 and abs(y - k) < ZERO_TOL:
-                return True
-        else:
-            y = frac(x) * length
-            if y != 0 and y.denominator == 1:
-                return True
+        y = frac(x) * length
+        if y != 0 and y.denominator == 1:
+            return True
     return False
 
 
 def random_frequencies(
     dim: int, count: int, seed: int, bound: float = 10.0
 ) -> list[tuple[float, ...]]:
-    """`count` frequency vectors drawn uniformly from [-bound, bound]^dim."""
+    """`count` frequency vectors drawn uniformly from [-bound, bound]^dim.
+
+    The bound must be finite and positive: bound 0 samples only the origin,
+    where the residual checks volume alone.
+    """
+    if not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"frequency bound must be finite and positive: {bound}")
     rng = random.Random(seed)
     return [tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(count)]
 
@@ -152,8 +149,11 @@ def residual_sample(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != t.box.dim:
         raise ValueError("sample points and box have different dimensions")
-    if math.prod(float(length) for length in t.box.dims) == 0.0:
+    box_volume = math.prod(float(length) for length in t.box.dims)
+    if box_volume == 0.0:
         raise ValueError("box volume below double range")
+    if math.isinf(box_volume):
+        raise ValueError("box volume above double range")
     half = tuple(length / 2 for length in t.box.dims)
     total = np.zeros(pts.shape[0], dtype=complex)
     for k, brick in enumerate(t.bricks):
@@ -207,4 +207,4 @@ def key_observation_witness(
     member = in_zero_set_Z(point_t, BoxSpec((1,) * d))
     if member or not in_zero_set_Z(point_t, norm_a) or not in_zero_set_Z(point_t, norm_b):
         raise RuntimeError("witness consistency check failed for a genuine violation")
-    return KeyObservationWitness(pair=(i, j), point=point_t, in_Z=member)
+    return KeyObservationWitness(pair=(i, j), point=point_t)

@@ -27,18 +27,16 @@ class SplitCertificate:
     """A hyperplane split witnessing tileability.
 
     The cut plane is x_axis = cut with cut = m * a_axis; the left slab holds
-    m layers of brick `left_brick`, the right slab n layers of brick
-    `right_brick`, and on every other axis the used bricks divide the box
-    extent evenly. Degenerate certificates (m = 0 or n = 0) mean one brick
-    tiles the whole box alone. Axes are 0-based here; JSON uses 1-based.
+    m layers of the first brick, the right slab n layers of the second, and
+    on every other axis the used bricks divide the box extent evenly.
+    Degenerate certificates (m = 0 or n = 0) mean one brick tiles the whole
+    box alone. Axes are 0-based here; JSON uses 1-based.
     """
 
     axis: int
     m: int
     n: int
     cut: Fraction
-    left_brick: int = 0
-    right_brick: int = 1
 
 
 @dataclass(frozen=True)

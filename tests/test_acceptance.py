@@ -27,7 +27,6 @@ from brickbox import (
     proper_split_report,
     random_frequencies,
     residual_sample,
-    verify_no_proper_split,
     verify_tiling_geometric,
 )
 
@@ -144,7 +143,7 @@ def test_criterion_4_counterexample_R4():
     tiling = pinwheel_tiling(inst)
     geometric = verify_tiling_geometric(tiling).ok
     residual = residual_sample(tiling, random_frequencies(2, 1000, seed=41)).max_abs_residual
-    report = verify_no_proper_split(inst)
+    report = proper_split_report(inst.box, inst.bricks)
     elapsed = time.perf_counter() - start
     _report(
         "criterion 4: R=4 pinwheel verified; no cut admits proper-subset tilings",

@@ -134,20 +134,75 @@ def test_invalid_input_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "spectral", "--input", str(huge), "--samples", "3")
     assert (code, out) == (2, "")
     assert err.startswith("invalid input:")
-    # so can volumes below it: these boxes are half empty, but as floats the
-    # volume and the residual would read 0.0
-    tiny = tmp_path / "tiny.json"
-    for box_dims in ((Fraction(1, 10**400), 1), (Fraction(1, 10**200), Fraction(1, 10**200))):
-        tiny.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
-            bricks=(geometry.Brick((box_dims[0] / 2, box_dims[1])),),
+    # so can volumes outside it: these boxes are half empty, but as floats
+    # the volume and the residual would read 0.0 (below) or NaN (above)
+    half_empty = tmp_path / "half_empty.json"
+    for box_dims in (
+        (Fraction(1, 10**400), 1),
+        (Fraction(1, 10**200), Fraction(1, 10**200)),
+        (10**200, 10**200),
+    ):
+        half_empty.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+            bricks=(geometry.Brick((Fraction(box_dims[0]) / 2, box_dims[1])),),
             placements=(geometry.Placement(0, (0, 0)),),
             box=geometry.BoxSpec(box_dims),
         ))))
-        code, out, _ = run(capsys, "verify", "--input", str(tiny))
+        code, out, _ = run(capsys, "verify", "--input", str(half_empty))
         assert (code, json.loads(out)["status"]) == (1, "volume-mismatch")
-        code, out, err = run(capsys, "spectral", "--input", str(tiny), "--tolerance", "1e-9")
+        code, out, err = run(capsys, "spectral", "--input", str(half_empty), "--tolerance", "1e-9")
         assert (code, out) == (2, "")
         assert err.startswith("invalid input:")
+
+
+def _half_covered_unit_box(tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+        bricks=(geometry.Brick((Fraction(1, 2), 1)),),
+        placements=(geometry.Placement(0, (0, 0)),),
+        box=geometry.BoxSpec((1, 1)),
+    ))))
+    return str(path)
+
+
+def test_spectral_bound_must_be_finite_and_positive(capsys, tmp_path):
+    # An infinite or NaN bound makes every residual NaN, which passes any
+    # tolerance; bound 0 samples only the origin, which checks volume alone.
+    half = _half_covered_unit_box(tmp_path)
+    for bound in ("inf", "nan", "0", "-1"):
+        code, out, err = run(capsys, "spectral", "--input", half, "--bound", bound,
+                             "--tolerance", "1e-9")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:")
+
+
+def test_spectral_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
+    half = _half_covered_unit_box(tmp_path)
+    for tolerance in ("nan", "inf", "-1e-9"):
+        code, out, err = run(capsys, "spectral", "--input", half, f"--tolerance={tolerance}")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:")
+    code, out, _ = run(capsys, "spectral", "--input", half, "--tolerance", "1e-9")
+    assert code == 1 and json.loads(out)["max_abs_residual"] > 1e-9
+
+
+def test_render_scale_must_be_at_least_one(capsys, tmp_path):
+    half = _half_covered_unit_box(tmp_path)
+    for scale in ("-5", "0"):
+        code, out, err = run(capsys, "render", "--input", half, "--scale", scale)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:")
+    code, out, _ = run(capsys, "render", "--input", half, "--scale", "1")
+    assert code == 0 and 'viewBox="0 0 1 1"' in out
+
+
+def test_tile_theorem_path_placements_obey_the_grid_cap(capsys):
+    # 4x4 by unit squares needs 16 placements on both theorem paths.
+    for bricks in (["--brick", "1,1", "--brick", "2,2"], ["--brick", "1,1"]):
+        code, out, err = run(capsys, "tile", "--box", "4,4", *bricks, "--grid-cap", "15")
+        assert (code, out) == (3, "")
+        assert err == "budget exhausted: tiling needs 16 placements, cap is 15\n"
+        code, out, _ = run(capsys, "tile", "--box", "4,4", *bricks, "--grid-cap", "16")
+        assert code == 0 and len(json.loads(out)["placements"]) == 16
 
 
 def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):

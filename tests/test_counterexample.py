@@ -14,7 +14,6 @@ from brickbox import (
     proper_split_report,
     random_frequencies,
     residual_sample,
-    verify_no_proper_split,
     verify_tiling_geometric,
     volume,
 )
@@ -63,7 +62,8 @@ def test_pinwheel_geometric_and_spectral_for_family_prefix():
 
 
 def test_no_proper_split_R4_full_enumeration():
-    report = verify_no_proper_split(make_instance(4))
+    inst = make_instance(4)
+    report = proper_split_report(inst.box, inst.bricks)
     assert report.no_split
     # 2 axes x 4 interior integer cuts x (6 proper subsets)^2 ordered pairs
     assert len(report.entries) == 288
@@ -80,26 +80,29 @@ def test_no_proper_split_R4_full_enumeration():
 
 
 def test_no_proper_split_R5():
-    report = verify_no_proper_split(make_instance(5))
+    inst = make_instance(5)
+    report = proper_split_report(inst.box, inst.bricks)
     assert report.no_split
     assert len(report.entries) == 2 * 5 * 36
 
 
 def test_splitter_inversion_finds_two_brick_cut():
-    # The same machinery, pointed at a splittable two-brick instance with
-    # the sides restricted to (first type | second type), recovers the cut.
+    # The same machinery, pointed at a splittable two-brick instance, finds
+    # the cut among the (first type | second type) entries.
     box = BoxSpec((1, 1))
     bricks = (Brick((F(1, 4), F(1, 2))), Brick((F(1, 2), F(1, 2))))
-    report = proper_split_report(box, bricks, pairs=[((0,), (1,))])
-    found = report.split_found
-    assert found is not None
+    report = proper_split_report(box, bricks)
+    found = next(
+        e for e in report.entries
+        if e.both_sat and (e.left_subset, e.right_subset) == ((0,), (1,))
+    )
     assert (found.axis, found.alpha) == (0, F(1, 2))
-    assert found.left_subset == (0,) and found.right_subset == (1,)
 
 
 def test_splitter_raises_on_budget_exhaustion():
+    inst = make_instance(4)
     with pytest.raises(BudgetExhausted):
-        verify_no_proper_split(make_instance(4), node_budget=1)
+        proper_split_report(inst.box, inst.bricks, node_budget=1)
 
 
 def test_removing_the_square_makes_the_box_untileable():

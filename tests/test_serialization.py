@@ -14,7 +14,7 @@ from brickbox import (
     decide_two_brick,
     make_instance,
     pinwheel_tiling,
-    verify_no_proper_split,
+    proper_split_report,
 )
 from brickbox import serialization as ser
 
@@ -72,7 +72,7 @@ def test_tiling_schema_shape():
 
 
 def test_certificate_round_trip_and_axis_base():
-    cert = SplitCertificate(axis=1, m=2, n=3, cut=F(5, 7), left_brick=0, right_brick=1)
+    cert = SplitCertificate(axis=1, m=2, n=3, cut=F(5, 7))
     obj = ser.certificate_to_obj(cert)
     assert obj["axis"] == 2  # JSON is 1-based
     assert obj["cut"] == "5/7"
@@ -81,6 +81,16 @@ def test_certificate_round_trip_and_axis_base():
         ser.certificate_from_obj({"axis": 0, "m": 1, "n": 1, "cut": "1/2", "left_brick": 0, "right_brick": 1})
     with pytest.raises(ValueError):
         ser.certificate_from_obj({"m": 1})
+
+
+def test_certificate_brick_indices_are_fixed():
+    # The first brick always fills the slab left of the cut, so the JSON
+    # indices are always 0 and 1; any other pair is rejected on input.
+    obj = ser.certificate_to_obj(SplitCertificate(axis=0, m=1, n=1, cut=F(1, 4)))
+    assert (obj["left_brick"], obj["right_brick"]) == (0, 1)
+    for left, right in ((1, 0), (7, 7)):
+        with pytest.raises(ValueError, match="brick 0 left of the cut"):
+            ser.certificate_from_obj({**obj, "left_brick": left, "right_brick": right})
 
 
 def test_decision_serialization():
@@ -96,7 +106,8 @@ def test_decision_serialization():
 
 
 def test_nosplit_entries_schema():
-    report = verify_no_proper_split(make_instance(4))
+    inst = make_instance(4)
+    report = proper_split_report(inst.box, inst.bricks)
     entries = ser.nosplit_report_to_obj(report)
     assert len(entries) == 288
     first = entries[0]
