@@ -6,6 +6,12 @@ origin-anchored: a box spans [0, L_1] x ... x [0, L_d] and a placement
 positions a brick by its lowest corner. Bricks are used under translation
 only, never rotated.
 
+`verify_tiling_geometric` works in one per-axis integer frame
+(`_integer_frame`): on each axis every length is scaled by the least common
+denominator of the box extent, the brick extents and the offsets there, so
+boundaries and volumes compare as Python ints, which are exact at any size.
+Fractions are built again only for a reported volume-mismatch witness.
+
 All types are immutable values; all functions are pure and safe to call
 concurrently.
 """
@@ -13,6 +19,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -23,6 +30,10 @@ RationalLike = Union[Fraction, int, str]
 
 #: Most arrangement cells `verify_tiling_geometric` allocates (40 MB of int32).
 ARRANGEMENT_CAP = 10**7
+
+# Most bits by which a tiling's offsets may refine, on one axis, the integer
+# frame that its box and bricks need (see `_integer_frame`).
+_FRAME_SLACK_BITS = 64
 
 
 class GridTooLarge(Exception):
@@ -90,7 +101,8 @@ class Placement:
     def __post_init__(self) -> None:
         if self.brick_index < 0:
             raise ValueError("brick_index must be nonnegative")
-        object.__setattr__(self, "offset", tuple(frac(v) for v in self.offset))
+        offset = tuple(v if isinstance(v, Fraction) else frac(v) for v in self.offset)
+        object.__setattr__(self, "offset", offset)
 
 
 @dataclass(frozen=True)
@@ -113,14 +125,15 @@ class Tiling:
         for k, b in enumerate(self.bricks):
             if b.dim != d:
                 raise ValueError(f"brick {k} has dimension {b.dim}, box has {d}")
+        # A brick at offset o fits on an axis iff 0 <= o <= L - c there.
+        rooms = [tuple(L - c for L, c in zip(self.box.dims, b.dims)) for b in self.bricks]
         for k, p in enumerate(self.placements):
             if len(p.offset) != d:
                 raise ValueError(f"placement {k} has {len(p.offset)} coordinates, box has {d}")
             if p.brick_index >= len(self.bricks):
                 raise ValueError(f"placement {k} references unknown brick type {p.brick_index}")
-            dims = self.bricks[p.brick_index].dims
-            for ax in range(d):
-                if p.offset[ax] < 0 or p.offset[ax] + dims[ax] > self.box.dims[ax]:
+            for ax, (o, room) in enumerate(zip(p.offset, rooms[p.brick_index])):
+                if o < 0 or o > room:
                     raise ValueError(f"placement {k} extends outside the box on axis {ax}")
 
 
@@ -183,31 +196,61 @@ def rational_gcd(x: RationalLike, y: RationalLike) -> Fraction:
     )
 
 
-def _arrangement_counts(t: Tiling) -> tuple[np.ndarray, list[tuple[slice, ...]]]:
+def _integer_frame(
+    t: Tiling,
+) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]], list[list[int]]]:
+    # One common denominator D per axis: the lcm of the denominators of the
+    # box extent, the brick extents and the placement offsets on that axis.
+    # Returns (D per axis, box extents, each brick's extents, and per axis
+    # every placement's offset), all as ints in units of 1/D. A tiling's
+    # offsets are integer combinations of brick extents, so they never refine
+    # the frame of the box and bricks; offsets that refine it by more than
+    # 2**_FRAME_SLACK_BITS raise GridTooLarge before any offset is scaled.
+    scale, box_ints, offsets = [], [], []
+    for ax, length in enumerate(t.box.dims):
+        base = math.lcm(length.denominator, *(b.dims[ax].denominator for b in t.bricks))
+        ratios = [p.offset[ax].as_integer_ratio() for p in t.placements]
+        dens = {q for _, q in ratios}
+        unit, limit = base, base << _FRAME_SLACK_BITS
+        for q in dens:
+            unit = math.lcm(unit, q)
+            if unit > limit:
+                raise GridTooLarge(
+                    f"offsets refine the integer frame on axis {ax} by more than "
+                    f"2**{_FRAME_SLACK_BITS}"
+                )
+        per = {q: unit // q for q in dens}
+        scale.append(unit)
+        box_ints.append(length.numerator * (unit // length.denominator))
+        offsets.append([n * per[q] for n, q in ratios])
+        del ratios  # one axis's pairs at a time
+    brick_ints = [
+        tuple(c.numerator * (unit // c.denominator) for c, unit in zip(b.dims, scale))
+        for b in t.bricks
+    ]
+    return tuple(scale), tuple(box_ints), brick_ints, offsets
+
+
+def _arrangement_counts(
+    box: Sequence[int], spans: Sequence[tuple[list[int], list[int]]]
+) -> tuple[np.ndarray, list[tuple[slice, ...]]]:
     # Cover count of each cell of the arrangement of all boundary coordinates
-    # per axis, and each placement's window of cells. Exact for any rational
-    # offsets. Two open placements meet iff their windows share a cell.
-    d = t.box.dim
-    spans = []
-    for p in t.placements:
-        dims = t.bricks[p.brick_index].dims
-        spans.append((p.offset, tuple(o + c for o, c in zip(p.offset, dims))))
-    index: list[dict[Fraction, int]] = []
-    for ax in range(d):
-        vals = {Fraction(0), t.box.dims[ax]}
-        for lo, hi in spans:
-            vals.add(lo[ax])
-            vals.add(hi[ax])
-        index.append({v: k for k, v in enumerate(sorted(vals))})
+    # per axis, and each placement's window of cells; `spans` holds the
+    # integer-frame low and high ends of every placement on each axis. Two
+    # open placements meet iff their windows share a cell.
+    index = [
+        {v: k for k, v in enumerate(sorted({0, length, *lo, *hi}))}
+        for length, (lo, hi) in zip(box, spans)
+    ]
     shape = [len(ix) - 1 for ix in index]
     total = math.prod(shape)
     if total > ARRANGEMENT_CAP:
         raise GridTooLarge(f"arrangement needs {total} cells, cap is {ARRANGEMENT_CAP}")
     counts = np.zeros(shape, dtype=np.int32)
-    windows = [
-        tuple(slice(index[ax][lo[ax]], index[ax][hi[ax]]) for ax in range(d))
-        for lo, hi in spans
+    per_axis = [
+        [slice(ix[a], ix[b]) for a, b in zip(lo, hi)] for ix, (lo, hi) in zip(index, spans)
     ]
+    windows = list(zip(*per_axis))
     for window in windows:
         counts[window] += 1
     return counts, windows
@@ -221,19 +264,28 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     reported as the lexicographically first pair i < j of placements whose
     interiors meet. Otherwise the interiors are disjoint and the placements
     lie inside the box, so they tile it iff the placed volume equals the box
-    volume. All comparisons are exact rational arithmetic. Raises
-    GridTooLarge when the arrangement has more than ARRANGEMENT_CAP cells.
+    volume. Boundaries and volumes are compared as exact integers in the
+    tiling's per-axis integer frame. Raises GridTooLarge when the
+    arrangement has more than ARRANGEMENT_CAP cells, or when the offsets'
+    denominators make the frame on an axis more than 2**64 times finer than
+    the box and bricks need (no tiling does: its offsets are integer
+    combinations of brick extents).
     """
-    counts, windows = _arrangement_counts(t)
+    _, box, bricks, offsets = _integer_frame(t)
+    types = [p.brick_index for p in t.placements]
+    spans = [
+        (lo, [o + bricks[i][ax] for o, i in zip(lo, types)]) for ax, lo in enumerate(offsets)
+    ]
+    counts, windows = _arrangement_counts(box, spans)
     if counts.max() > 1:
         # The first placement with a shared cell meets only later placements:
         # an earlier one it met would have been found first.
         i = next(k for k, window in enumerate(windows) if counts[window].max() > 1)
-        for j in range(i + 1, len(t.placements)):
-            if not interiors_disjoint(t.placements[i], t.placements[j], t.bricks):
+        for j in range(i + 1, len(windows)):
+            if all(max(p.start, q.start) < min(p.stop, q.stop) for p, q in zip(windows[i], windows[j])):
                 return VerifyOutcome("overlap", (i, j))
-    placed = sum((volume(t.bricks[p.brick_index]) for p in t.placements), Fraction(0))
-    box_vol = volume(t.box)
-    if placed != box_vol:
-        return VerifyOutcome("volume-mismatch", (placed, box_vol))
+    uses = Counter(types)
+    if sum(n * math.prod(bricks[k]) for k, n in uses.items()) != math.prod(box):
+        placed = sum((n * volume(t.bricks[k]) for k, n in uses.items()), Fraction(0))
+        return VerifyOutcome("volume-mismatch", (placed, volume(t.box)))
     return VerifyOutcome("ok")

@@ -40,6 +40,11 @@ def parse_dims(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true and false parse as bools, which Python counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational_list(values: Sequence[Fraction | int]) -> list[str]:
     return [format_rational(v) for v in values]
 
@@ -82,7 +87,7 @@ def placement_to_obj(p: Placement) -> dict:
 def placement_from_obj(obj: Any) -> Placement:
     if not isinstance(obj, dict) or "brick" not in obj or "offset" not in obj:
         raise ValueError("placement must be an object with 'brick' and 'offset'")
-    if not isinstance(obj["brick"], int) or isinstance(obj["brick"], bool):
+    if not _is_int(obj["brick"]):
         raise ValueError("placement brick index must be an integer")
     return Placement(obj["brick"], _parse_rational_list(obj["offset"], "offset"))
 
@@ -136,10 +141,10 @@ def certificate_from_obj(obj: Any) -> SplitCertificate:
         left, right = obj["left_brick"], obj["right_brick"]
     except KeyError as exc:
         raise ValueError(f"certificate is missing {exc}") from exc
-    if not isinstance(axis, int) or axis < 1:
+    if not _is_int(axis) or axis < 1:
         raise ValueError("certificate axis must be a 1-based integer")
     for v in (m, n, left, right):
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ValueError("certificate counts and indices must be nonnegative integers")
     if (left, right) != (0, 1):
         raise ValueError("certificate must put brick 0 left of the cut and brick 1 right")

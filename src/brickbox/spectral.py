@@ -26,6 +26,18 @@ sampled residuals; residual checks use 1e-9. Zero-set membership is an
 exact integrality test on rational frequencies, so the key-observation
 witness is checked in exact rational arithmetic and holds for extents of
 any size.
+
+`residual_sample` reads placement centers from the tiling's per-axis
+integer frame (see `geometry`), so each center is rounded to a double once.
+Per brick type, it factors every phase into one factor per axis, gathered
+from a table over that axis's distinct centers, and works through the
+points in chunks and the placements in blocks so that no working array
+holds more than 2**16 entries (or one table row, for an axis with more
+distinct centers than that): memory stays bounded however many placements
+the tiling has. The products round differently from a single
+exp(2*pi*i * xi.lambda), so a residual's noise digits (around 1e-14), and
+so which point witnesses a noise-level maximum, may differ from that
+formula.
 """
 
 from __future__ import annotations
@@ -38,10 +50,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoxSpec, Brick, Tiling, frac
+from .geometry import BoxSpec, Brick, Tiling, _integer_frame, frac
 
 #: A frequency vector of float coordinates.
 Frequency = Sequence[float]
+
+# Most entries of a working array (1 MB of complex128) in residual_sample.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,35 @@ def random_frequencies(
     return [tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(count)]
 
 
+def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # Sum over placements k of exp(2*pi*i * xi.centers[:, k]) at every point
+    # xi. Each phase is a product of one factor per axis, gathered from a
+    # table exp(2j*pi * (xi_j * c)) over that axis's distinct centers c.
+    # Points go in chunks and placements in blocks, so that tables, factors
+    # and products hold at most _BLOCK_ENTRIES entries each (or one row of
+    # the widest table, when an axis has more distinct centers than that).
+    distinct, where = zip(*(np.unique(row, return_inverse=True) for row in centers))
+    chunk = max(1, _BLOCK_ENTRIES // max(map(len, distinct)))
+    block = max(1, _BLOCK_ENTRIES // chunk)
+    total = np.zeros(pts.shape[0], dtype=complex)
+    for lo in range(0, pts.shape[0], chunk):
+        tables = []
+        for xi, values in zip(pts[lo : lo + chunk].T, distinct):
+            table = np.multiply.outer(xi.astype(complex), values)
+            table *= 2j * np.pi
+            tables.append(np.exp(table, out=table))
+        for first in range(0, centers.shape[1], block):
+            term = None
+            for table, cols in zip(tables, where):
+                factor = table[:, cols[first : first + block]]
+                if term is None:
+                    term = factor
+                else:
+                    term *= factor
+            total[lo : lo + chunk] += term.sum(axis=1)
+    return total
+
+
 def residual_sample(
     t: Tiling, points: Sequence[Frequency], seed: int | None = None
 ) -> SpectralReport:
@@ -143,6 +187,12 @@ def residual_sample(
     For a tiling accepted by the geometric verifier the residual is noise at
     every frequency; for a non-tiling it is generically large (at xi = 0 it
     reads off the missing or excess volume exactly).
+
+    Phases come from per-axis tables, summed over chunks of points and
+    blocks of placements (see the module docstring), so working memory does
+    not grow with points times placements. Raises GridTooLarge when the
+    tiling's offsets are too fine for its integer frame, as
+    `verify_tiling_geometric` does.
     """
     if not points:
         raise ValueError("need at least one sample point")
@@ -154,19 +204,23 @@ def residual_sample(
         raise ValueError("box volume below double range")
     if math.isinf(box_volume):
         raise ValueError("box volume above double range")
-    half = tuple(length / 2 for length in t.box.dims)
+    scale, box, bricks, offsets = _integer_frame(t)
+    members: list[list[int]] = [[] for _ in t.bricks]
+    for k, p in enumerate(t.placements):
+        members[p.brick_index].append(k)
     total = np.zeros(pts.shape[0], dtype=complex)
-    for k, brick in enumerate(t.bricks):
-        centers = [
-            [float(p.offset[ax] + brick.dims[ax] / 2 - half[ax]) for ax in range(t.box.dim)]
-            for p in t.placements
-            if p.brick_index == k
-        ]
-        if not centers:
+    for brick, extents, mine in zip(t.bricks, bricks, members):
+        if not mine:
             continue
-        lam = np.array(centers, dtype=float)
-        phases = np.exp(2j * np.pi * (pts @ lam.T)).sum(axis=1)
-        total += phases * _box_transform_batch(brick.dims, pts)
+        # A center minus half the box is (2o + c - L) / 2D in the frame: an
+        # int ratio rounds once, to the same double as float(Fraction).
+        centers = np.array(
+            [
+                [(2 * column[k] + c - length) / (2 * unit) for k in mine]
+                for column, c, length, unit in zip(offsets, extents, box, scale)
+            ]
+        )
+        total += _phase_sum(pts, centers) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     peak = int(np.argmax(resid))
     return SpectralReport(

@@ -227,6 +227,17 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "verify", "--input", str(tiling))
     assert (code, out) == (3, "")
     assert err.startswith("budget exhausted: arrangement needs 2 cells, cap is 1")
+    # verify and spectral refuse offsets far finer than the box and bricks
+    refined = tmp_path / "refined.json"
+    refined.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+        bricks=(geometry.Brick((1,)),),
+        placements=(geometry.Placement(0, (1 - Fraction(1, 2**65),)),),
+        box=geometry.BoxSpec((2,)),
+    ))))
+    for argv in (("verify",), ("spectral", "--samples", "3")):
+        code, out, err = run(capsys, *argv, "--input", str(refined))
+        assert (code, out) == (3, "")
+        assert err == "budget exhausted: offsets refine the integer frame on axis 0 by more than 2**64\n"
 
 
 def test_oracle_timeout_reports_trials_made(capsys):

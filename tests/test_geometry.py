@@ -1,10 +1,12 @@
 """Exact geometry: scalars, shapes, and the geometric verifier."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from brickbox import (
     GridTooLarge,
     Placement,
     Tiling,
+    VerifyOutcome,
     certificate_to_tiling,
     decide_two_brick,
     frac,
@@ -63,6 +66,57 @@ def oracle_verify(t):
     if placed != volume(t.box):
         return "volume-mismatch", (placed, volume(t.box))
     return "ok", None
+
+
+def fraction_tiling_error(bricks, placements, box):
+    """Reference for `Tiling` validation, in Fraction arithmetic: the first
+    error message in placement order, or None."""
+    d = box.dim
+    for k, b in enumerate(bricks):
+        if b.dim != d:
+            return f"brick {k} has dimension {b.dim}, box has {d}"
+    for k, p in enumerate(placements):
+        if len(p.offset) != d:
+            return f"placement {k} has {len(p.offset)} coordinates, box has {d}"
+        if p.brick_index >= len(bricks):
+            return f"placement {k} references unknown brick type {p.brick_index}"
+        dims = bricks[p.brick_index].dims
+        for ax in range(d):
+            if p.offset[ax] < 0 or p.offset[ax] + dims[ax] > box.dims[ax]:
+                return f"placement {k} extends outside the box on axis {ax}"
+    return None
+
+
+def fraction_verify(t):
+    """Reference for `verify_tiling_geometric`: the same arrangement pass,
+    with boundaries indexed and volumes summed as Fractions."""
+    d = t.box.dim
+    spans = []
+    for p in t.placements:
+        dims = t.bricks[p.brick_index].dims
+        spans.append((p.offset, tuple(o + c for o, c in zip(p.offset, dims))))
+    index = []
+    for ax in range(d):
+        vals = {F(0), t.box.dims[ax]}
+        for lo, hi in spans:
+            vals.add(lo[ax])
+            vals.add(hi[ax])
+        index.append({v: k for k, v in enumerate(sorted(vals))})
+    counts = np.zeros([len(ix) - 1 for ix in index], dtype=np.int32)
+    windows = [
+        tuple(slice(index[ax][lo[ax]], index[ax][hi[ax]]) for ax in range(d)) for lo, hi in spans
+    ]
+    for window in windows:
+        counts[window] += 1
+    if counts.max() > 1:
+        i = next(k for k, window in enumerate(windows) if counts[window].max() > 1)
+        for j in range(i + 1, len(t.placements)):
+            if not interiors_disjoint(t.placements[i], t.placements[j], t.bricks):
+                return VerifyOutcome("overlap", (i, j))
+    placed = sum((volume(t.bricks[p.brick_index]) for p in t.placements), F(0))
+    if placed != volume(t.box):
+        return VerifyOutcome("volume-mismatch", (placed, volume(t.box)))
+    return VerifyOutcome("ok")
 
 
 positive_rationals = st.fractions(min_value=F(1, 8), max_value=F(8), max_denominator=8)
@@ -370,3 +424,131 @@ def test_verify_matches_pairwise_oracle_on_seeded_corpus():
         statuses[out.status] += 1
     assert set(statuses) == {"ok", "overlap", "volume-mismatch"}
     assert min(statuses.values()) >= 200, statuses
+
+
+# ---------------------------------------------------------------------------
+# Differential corpus: the integer frame against the Fraction reference
+# ---------------------------------------------------------------------------
+
+FRAME_SEED = 20261018
+
+
+def _overlapping_or_gapped(rng):
+    """Random placements on a coarse and a fine grid: many overlap, many leave gaps."""
+    t = _random_tiling(rng)
+    extra = [
+        Placement(p.brick_index, tuple(o / 2 for o in p.offset))
+        for p in rng.sample(t.placements, min(len(t.placements), rng.randint(0, 3)))
+    ]
+    return Tiling(bricks=t.bricks, placements=t.placements + tuple(extra), box=t.box)
+
+
+def test_verify_matches_fraction_reference_on_seeded_corpus():
+    rng = random.Random(FRAME_SEED)
+    statuses = Counter()
+    for case in range(1500):
+        if case % 3 == 2:
+            t = _overlapping_or_gapped(rng)
+        else:
+            t = _sat_tiling(rng)
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                t = _mutate(rng, t)
+        out = verify_tiling_geometric(t)
+        assert out == fraction_verify(t), case
+        statuses[out.status] += 1
+    assert min(statuses.values()) >= 150, statuses
+
+
+def _raw_placement(rng, bricks, box):
+    """A placement that may lie partly outside the box, name an unknown
+    brick type, or have the wrong number of coordinates."""
+    d = box.dim
+    index = rng.randrange(len(bricks) + (rng.random() < 0.1))
+    dims = d + rng.choice((0,) * 12 + (-1, 1))
+    offset = []
+    for ax in range(max(dims, 1)):
+        top = box.dims[ax % d] - bricks[index % len(bricks)].dims[ax % d]
+        offset.append(_rational_in(rng, top) if rng.random() < 0.93 else rng.choice((-top / 3 - 1, top + F(1, 5))))
+    return Placement(index, tuple(offset))
+
+
+def _tiling_error(bricks, placements, box):
+    try:
+        Tiling(bricks=bricks, placements=placements, box=box)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_tiling_errors_match_fraction_reference():
+    rng = random.Random(FRAME_SEED + 1)
+    messages = Counter()
+    for case in range(3000):
+        d = rng.randint(1, 3)
+        box = BoxSpec([F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)])
+        bricks = tuple(
+            Brick([_rational_in(rng, L) or L for L in box.dims]) for _ in range(rng.randint(1, 3))
+        )
+        if rng.random() < 0.02:
+            bricks += (Brick((1,) * (d + 1)),)
+        placements = tuple(_raw_placement(rng, bricks, box) for _ in range(rng.randint(0, 8)))
+        got = _tiling_error(bricks, placements, box)
+        assert got == fraction_tiling_error(bricks, placements, box), case
+        messages[got and " ".join(got.split()[0:3:2])] += 1
+    kinds = {None, "brick has", "placement has", "placement references", "placement extends"}
+    assert set(messages) == kinds, messages
+
+
+def test_out_of_box_placement_is_reported_before_a_later_malformed_one():
+    box, bricks = BoxSpec((1, 1)), (Brick((F(1, 2), 1)),)
+    outside, fine = Placement(0, (F(3, 4), 0)), Placement(0, (0, 0))
+    for malformed in (Placement(1, (0, 0)), Placement(0, (0, 0, 0)), Placement(0, (0,))):
+        for placements in ((fine, outside, malformed), (fine, malformed, outside)):
+            expected = fraction_tiling_error(bricks, placements, box)
+            assert _tiling_error(bricks, placements, box) == expected
+        assert expected.startswith("placement 1 ")
+    with pytest.raises(ValueError, match="placement 1 extends outside the box on axis 0"):
+        Tiling(bricks=bricks, placements=(fine, outside, Placement(1, (0, 0))), box=box)
+
+
+def _pair_in_line(bits):
+    """Two unit bricks in [0, 2], the second at 1 - 2**-bits: an offset
+    `bits` bits finer than the box and brick need."""
+    return Tiling(
+        bricks=(Brick((1,)),),
+        placements=(Placement(0, (0,)), Placement(0, (1 - F(1, 2**bits),))),
+        box=BoxSpec((2,)),
+    )
+
+
+def test_frame_slack_is_counted_from_the_box_and_bricks():
+    # 158-bit denominators in the box and bricks are not slack: the tiling
+    # verifies. Offsets up to 2**64 finer than they need are still verified.
+    tiny = F(1, 3**100)
+    t = Tiling(
+        bricks=(Brick((tiny,)),),
+        placements=(Placement(0, (0,)), Placement(0, (tiny,))),
+        box=BoxSpec((2 * tiny,)),
+    )
+    assert verify_tiling_geometric(t).ok
+    assert verify_tiling_geometric(_pair_in_line(64)) == VerifyOutcome("overlap", (0, 1))
+    with pytest.raises(GridTooLarge, match=r"on axis 0 by more than 2\*\*64"):
+        verify_tiling_geometric(_pair_in_line(65))
+
+
+def test_many_coprime_offset_denominators_are_refused_before_scaling():
+    # 20 000 offsets 1/q, q = 10**6 + k: the lcm of the q has about 150 000
+    # bits, and scaling every offset by it would take gigabytes.
+    t = Tiling(
+        bricks=(Brick((F(1, 2),)),),
+        placements=tuple(Placement(0, (F(1, 10**6 + k),)) for k in range(20_000)),
+        box=BoxSpec((1,)),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="refine the integer frame on axis 0"):
+            verify_tiling_geometric(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

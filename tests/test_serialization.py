@@ -93,6 +93,17 @@ def test_certificate_brick_indices_are_fixed():
             ser.certificate_from_obj({**obj, "left_brick": left, "right_brick": right})
 
 
+def test_certificate_rejects_json_booleans():
+    obj = {"axis": True, "m": True, "n": False, "cut": "1/2", "left_brick": 0, "right_brick": 1}
+    with pytest.raises(ValueError):
+        ser.certificate_from_obj(json.loads(json.dumps(obj)))
+    valid = ser.certificate_to_obj(SplitCertificate(axis=0, m=1, n=1, cut=F(1, 4)))
+    for key in ("axis", "m", "n", "left_brick", "right_brick"):
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                ser.certificate_from_obj({**valid, key: flag})
+
+
 def test_decision_serialization():
     box = BoxSpec((1, 1))
     sat = decide_two_brick(box, Brick((F(1, 4), F(1, 2))), Brick((F(1, 2), F(1, 2))))

@@ -3,16 +3,21 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from brickbox import (
     BoxSpec,
     Brick,
+    GridTooLarge,
     Placement,
     Tiling,
     box_transform,
+    certificate_to_tiling,
+    decide_two_brick,
     frac,
     in_zero_set_Z,
     key_observation_holds,
@@ -20,10 +25,11 @@ from brickbox import (
     make_instance,
     pinwheel_tiling,
     random_frequencies,
+    rational_gcd,
     residual_sample,
     volume,
 )
-from brickbox.spectral import SpectralReport
+from brickbox.spectral import SpectralReport, _box_transform_batch
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -70,6 +76,28 @@ def translate_phase_sum(offsets, xi):
             phase = math.fsum(float(v) * float(x) for v, x in zip(lam, xi))
         total += cmath.exp(2j * math.pi * phase)
     return total
+
+
+def dense_residual(t, points):
+    """Reference for `residual_sample`: one complex exp per point and
+    placement, exp(2*pi*i * pts @ centers.T), summed per brick type.
+    Returns (max_abs_residual, witness)."""
+    pts = np.asarray(points, dtype=float)
+    half = tuple(length / 2 for length in t.box.dims)
+    total = np.zeros(pts.shape[0], dtype=complex)
+    for k, brick in enumerate(t.bricks):
+        centers = [
+            [float(p.offset[ax] + brick.dims[ax] / 2 - half[ax]) for ax in range(t.box.dim)]
+            for p in t.placements
+            if p.brick_index == k
+        ]
+        if centers:
+            lam = np.array(centers, dtype=float)
+            phases = np.exp(2j * np.pi * (pts @ lam.T)).sum(axis=1)
+            total += phases * _box_transform_batch(brick.dims, pts)
+    resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
+    peak = int(np.argmax(resid))
+    return float(resid[peak]), tuple(points[peak])
 
 
 def half_columns():
@@ -219,6 +247,164 @@ def test_residual_sample_input_validation():
         )
         with pytest.raises(ValueError, match=message):
             residual_sample(half_empty, [(0.0, 0.0)])
+
+
+def test_residual_sample_shares_the_verifier_frame_cap():
+    # Offsets 2**65 times finer than the box and brick need are refused as in
+    # the geometric verifier; fine box and brick extents themselves are not.
+    bricks, box = (Brick((1,)),), BoxSpec((2,))
+    for bits, ok in ((64, True), (65, False)):
+        t = Tiling(bricks=bricks, placements=(Placement(0, (1 - F(1, 2**bits),)),), box=box)
+        if ok:
+            assert residual_sample(t, [(0.0,)]).max_abs_residual == pytest.approx(1.0)
+        else:
+            with pytest.raises(GridTooLarge, match="refine the integer frame"):
+                residual_sample(t, [(0.0,)])
+    tiny = F(1, 3**100)
+    t = Tiling(
+        bricks=(Brick((tiny,)),),
+        placements=(Placement(0, (0,)), Placement(0, (tiny,))),
+        box=BoxSpec((2 * tiny,)),
+    )
+    assert residual_sample(t, random_frequencies(1, 100, seed=0)).max_abs_residual < TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# residual_sample against the dense reference
+# ---------------------------------------------------------------------------
+
+RESIDUAL_SEED = 20261018
+TOLERANCE = 1e-9
+
+
+def _certificate_tiling(rng):
+    """A certificate tiling of a planted two-brick SAT box, d = 2 or 3,
+    with rational extents."""
+    while True:
+        d = rng.randint(2, 3)
+        a = [F(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
+        b = [x * rng.choice((1, 2, 3, F(1, 2), F(2, 3))) for x in a]
+        box = [x * y / rational_gcd(x, y) * rng.randint(1, 3) for x, y in zip(a, b)]
+        axis = rng.randrange(d)
+        box[axis] = rng.randint(0, 5) * a[axis] + rng.randint(1, 5) * b[axis]
+        box, a, b = BoxSpec(box), Brick(a), Brick(b)
+        outcome = decide_two_brick(box, a, b)
+        if outcome.tileable:
+            t = certificate_to_tiling(outcome.certificate, box, a, b)
+            if 2 <= len(t.placements) <= 200:
+                return t
+
+
+def _mutant(rng, t):
+    """One placement dropped, duplicated, or shifted by a rational step inside the box."""
+    placements = list(t.placements)
+    k = rng.randrange(len(placements))
+    p = placements[k]
+    kind = rng.choice(("drop", "duplicate", "shift"))
+    if kind == "drop":
+        del placements[k]
+    elif kind == "duplicate":
+        placements.insert(rng.randint(0, len(placements)), p)
+    else:
+        dims = t.bricks[p.brick_index].dims
+        ax = rng.randrange(len(dims))
+        room = t.box.dims[ax] - dims[ax]
+        offset = list(p.offset)
+        offset[ax] = room * F(rng.randint(0, 6), 6)
+        placements[k] = Placement(p.brick_index, tuple(offset))
+    return Tiling(bricks=t.bricks, placements=tuple(placements), box=t.box)
+
+
+def test_residual_matches_dense_reference_on_seeded_corpus():
+    rng = random.Random(RESIDUAL_SEED)
+    verdicts = {True: 0, False: 0}
+    for case in range(260):
+        t = _certificate_tiling(rng)
+        if case % 2:
+            t = _mutant(rng, t)
+        points = random_frequencies(t.box.dim, 1000, seed=case)
+        report = residual_sample(t, points)
+        dense, witness = dense_residual(t, points)
+        accepted = report.max_abs_residual < TOLERANCE
+        assert accepted == (dense < TOLERANCE), case
+        assert abs(report.max_abs_residual - dense) <= 1e-12, case
+        if not accepted:
+            assert report.witness == witness, case
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def _strip(count, kinds):
+    """A 1-d tiling by `count` pieces of widths 1/250 and 1/100 in turn (only
+    the first if `kinds` is 1): every center is distinct."""
+    bricks = (Brick((F(1, 250),)), Brick((F(1, 100),)))[:kinds]
+    placements, edge = [], F(0)
+    for k in range(count):
+        placements.append(Placement(k % kinds, (edge,)))
+        edge += bricks[k % kinds].dims[0]
+    return Tiling(bricks=bricks, placements=tuple(placements), box=BoxSpec((edge,)))
+
+
+def test_residual_with_all_centers_distinct_matches_dense_reference():
+    # 1100 distinct centers: the 1000 points go in 17 chunks of at most 59,
+    # each with its own 59 x 1100 phase table.
+    t = _strip(1100, kinds=1)
+    points = random_frequencies(1, 1000, seed=7)
+    broken = (
+        Tiling(bricks=t.bricks, placements=t.placements[:-1], box=t.box),
+        Tiling(bricks=t.bricks, placements=t.placements + t.placements[700:701], box=t.box),
+        Tiling(bricks=t.bricks, placements=t.placements[1:] + (Placement(0, (F(1, 500),)),), box=t.box),
+    )
+    for tiling in (t, *broken):
+        report = residual_sample(tiling, points)
+        dense, witness = dense_residual(tiling, points)
+        assert abs(report.max_abs_residual - dense) <= 1e-12
+        assert (report.max_abs_residual < TOLERANCE) == (tiling is t)
+        if tiling is not t:
+            assert report.witness == witness
+
+
+def _unit_squares(side):
+    ints = [F(k) for k in range(side)]
+    return Tiling(
+        bricks=(Brick((1, 1)),),
+        placements=tuple(Placement(0, (x, y)) for x in ints for y in ints),
+        box=BoxSpec((side, side)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: _unit_squares(200), lambda: _strip(10_000, kinds=2)], ids=["grid", "strip"]
+)
+def test_residual_memory_does_not_grow_with_the_tiling(build):
+    # 40 000 unit squares (200 distinct centers per axis) and 10 000 strip
+    # pieces (all centers distinct), at 1000 points: the dense form holds a
+    # 1000 x n complex array, 640 MB and 160 MB; chunks and blocks keep the
+    # peak small.
+    t = build()
+    points = random_frequencies(t.box.dim, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        report = residual_sample(t, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert report.max_abs_residual < TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# random_frequencies
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_frequencies_match_uniform_draws(dim):
+    for seed in (0, 1, 23, 20240917):
+        for bound in (10.0, 5.0, 0.5, 1e-3, 7):
+            rng = random.Random(seed)
+            expected = [tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(50)]
+            assert random_frequencies(dim, 50, seed, bound) == expected
 
 
 # ---------------------------------------------------------------------------
