@@ -43,16 +43,32 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         f'<rect x="0" y="0" width="{_num(width)}" height="{_num(height)}" '
         'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
     ]
+    # A tiling repeats few offsets per axis: format each brick's size, each
+    # x offset and each (brick, y offset) pair once. The caches are keyed by
+    # numerator and denominator, since hashing a Fraction costs a modular
+    # inverse.
+    sizes = [
+        f'width="{_num(w * scale)}" height="{_num(h * scale)}" '
+        f'fill="{PALETTE[k % len(PALETTE)]}"'
+        for k, (w, h) in enumerate(b.dims for b in t.bricks)
+    ]
+    xs: dict[tuple[int, int], str] = {}
+    ys: dict[tuple[int, int, int], str] = {}
+    box_height = t.box.dims[1]
     for p in t.placements:
-        dims = t.bricks[p.brick_index].dims
-        x = p.offset[0] * scale
-        y = (t.box.dims[1] - p.offset[1] - dims[1]) * scale  # flip: origin bottom-left
-        w = dims[0] * scale
-        h = dims[1] * scale
-        color = PALETTE[p.brick_index % len(PALETTE)]
+        k = p.brick_index
+        x, y = p.offset
+        x_key = x.numerator, x.denominator
+        x_text = xs.get(x_key)
+        if x_text is None:
+            x_text = xs[x_key] = _num(x * scale)
+        y_key = k, y.numerator, y.denominator
+        y_text = ys.get(y_key)
+        if y_text is None:
+            # flip: origin bottom-left
+            y_text = ys[y_key] = _num((box_height - y - t.bricks[k].dims[1]) * scale)
         lines.append(
-            f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(w)}" height="{_num(h)}" '
-            f'fill="{color}" stroke="#000000" stroke-width="1"/>'
+            f'<rect x="{x_text}" y="{y_text}" {sizes[k]} stroke="#000000" stroke-width="1"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,14 +1,20 @@
 """Shared JSON schema for all core types.
 
 Rationals travel as canonical "p/q" strings ("3/1" for 3); integer literals
-are accepted on input. Axis indices are 1-based in JSON and 0-based in the
-API. Parsers validate shape and raise ValueError on malformed input.
+are accepted on input. A rational string is, after optional surrounding
+whitespace, an optional sign, ASCII digits, and optionally "/" and ASCII
+digits that are not all zero: "3", "-3/4", "+6/08". Anything else (decimal
+points, exponents, underscores, other digits, a signed denominator) is
+rejected; Fraction would accept "1e10000000" and spend seconds building its
+integer. Axis indices are 1-based in JSON and 0-based in the API. Parsers
+validate shape and raise ValueError on malformed input.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .counterexample import NoSplitReport, ThreeBrickInstance
 from .geometry import BoxSpec, Brick, Placement, Tiling, VerifyOutcome, frac
@@ -16,20 +22,28 @@ from .spectral import KeyObservationWitness, SpectralReport
 from .theorem import DecisionOutcome, KeyObservationViolation, SplitCertificate
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def format_rational(x: Fraction | int) -> str:
-    f = frac(x)
+    f = x if isinstance(x, Fraction) else frac(x)
     return f"{f.numerator}/{f.denominator}"
 
 
 def parse_rational(value: Any) -> Fraction:
     """Parse a "p/q" string or integer literal into an exact Fraction."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"not a rational literal: {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if isinstance(value, str):
-        return frac(value.strip())
-    raise ValueError(f"not a rational literal: {value!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"not a rational literal: {value!r}")
+    text = value.strip()
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def parse_dims(text: str) -> tuple[Fraction, ...]:
@@ -49,10 +63,12 @@ def _rational_list(values: Sequence[Fraction | int]) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def _parse_rational_list(obj: Any, what: str) -> tuple[Fraction, ...]:
+def _parse_rational_list(
+    obj: Any, what: str, parse: Callable[[Any], Fraction] = parse_rational
+) -> tuple[Fraction, ...]:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{what} must be a nonempty list of rationals")
-    return tuple(parse_rational(v) for v in obj)
+    return tuple(map(parse, obj))
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +101,15 @@ def placement_to_obj(p: Placement) -> dict:
 
 
 def placement_from_obj(obj: Any) -> Placement:
+    return _placement_from_obj(obj, parse_rational)
+
+
+def _placement_from_obj(obj: Any, parse: Callable[[Any], Fraction]) -> Placement:
     if not isinstance(obj, dict) or "brick" not in obj or "offset" not in obj:
         raise ValueError("placement must be an object with 'brick' and 'offset'")
     if not _is_int(obj["brick"]):
         raise ValueError("placement brick index must be an integer")
-    return Placement(obj["brick"], _parse_rational_list(obj["offset"], "offset"))
+    return Placement(obj["brick"], _parse_rational_list(obj["offset"], "offset", parse))
 
 
 def tiling_to_obj(t: Tiling) -> dict:
@@ -108,9 +128,22 @@ def tiling_from_obj(obj: Any) -> Tiling:
             raise ValueError(f"tiling is missing '{key}'")
     if not isinstance(obj["bricks"], list) or not isinstance(obj["placements"], list):
         raise ValueError("tiling 'bricks' and 'placements' must be lists")
+    # A tiling repeats a few offsets per axis, so parse each literal once.
+    # Only str and exact int literals are keys: True and 1.0 hash and
+    # compare equal to 1, and must still reach parse_rational and fail.
+    parsed: dict[str | int, Fraction] = {}
+
+    def parse(value: Any) -> Fraction:
+        if type(value) is not str and type(value) is not int:
+            return parse_rational(value)
+        f = parsed.get(value)
+        if f is None:
+            f = parsed[value] = parse_rational(value)
+        return f
+
     return Tiling(
         bricks=tuple(brick_from_obj(b) for b in obj["bricks"]),
-        placements=tuple(placement_from_obj(p) for p in obj["placements"]),
+        placements=tuple(_placement_from_obj(p, parse) for p in obj["placements"]),
         box=box_from_obj(obj["box"]),
     )
 

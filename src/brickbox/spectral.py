@@ -38,6 +38,11 @@ the tiling has. The products round differently from a single
 exp(2*pi*i * xi.lambda), so a residual's noise digits (around 1e-14), and
 so which point witnesses a noise-level maximum, may differ from that
 formula.
+
+`random_frequencies` draws the coordinates of all points as one stream,
+point by point and axis by axis. Each coordinate is bit for bit what
+`random.Random(seed).uniform(-bound, bound)` returns at that position of
+the stream.
 """
 
 from __future__ import annotations
@@ -142,12 +147,18 @@ def random_frequencies(
     """`count` frequency vectors drawn uniformly from [-bound, bound]^dim.
 
     The bound must be finite and positive: bound 0 samples only the origin,
-    where the residual checks volume alone.
+    where the residual checks volume alone. The dimension must be at least 1.
     """
     if not (math.isfinite(bound) and bound > 0):
         raise ValueError(f"frequency bound must be finite and positive: {bound}")
-    rng = random.Random(seed)
-    return [tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(count)]
+    if dim < 1:
+        raise ValueError(f"frequency dimension must be at least 1: {dim}")
+    # Random.uniform(a, b) is a + (b - a) * random(); drawing flat with the
+    # bound method gives the same values without a Python call per draw.
+    draw = random.Random(seed).random
+    lo, width = -bound, 2 * bound  # b - a, exactly
+    flat = [lo + width * draw() for _ in range(dim * count)]
+    return list(zip(*[iter(flat)] * dim))
 
 
 def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:

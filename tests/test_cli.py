@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, emitted artifacts."""
 
 import json
+import time
 from fractions import Fraction
 
 from brickbox import geometry
@@ -152,6 +153,25 @@ def test_invalid_input_exits_two(capsys, tmp_path):
         code, out, err = run(capsys, "spectral", "--input", str(half_empty), "--tolerance", "1e-9")
         assert (code, out) == (2, "")
         assert err.startswith("invalid input:")
+
+
+def test_exponent_extents_exit_two_at_once(capsys, tmp_path):
+    # Fraction("1e100000000") would build a 10**100000000 numerator; the
+    # rational grammar has no exponent form, so the input is refused at once.
+    tiling = tmp_path / "exponent.json"
+    tiling.write_text(
+        '{"box": {"dims": ["1e100000000", "1"]}, "bricks": [{"dims": ["1", "1"]}], '
+        '"placements": []}'
+    )
+    for argv in (
+        ("decide", "--box", "1e100000000,1", "--brick", "1,1", "--brick", "1,1"),
+        ("verify", "--input", str(tiling)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "not a rational number: '1e100000000'" in err
 
 
 def _half_covered_unit_box(tmp_path):

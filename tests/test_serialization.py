@@ -1,6 +1,7 @@
 """JSON schema round-trips and format validation."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,13 +11,20 @@ from hypothesis import strategies as st
 from brickbox import (
     BoxSpec,
     Brick,
+    Placement,
     SplitCertificate,
+    Tiling,
+    certificate_to_tiling,
     decide_two_brick,
+    frac,
     make_instance,
     pinwheel_tiling,
     proper_split_report,
+    rational_gcd,
+    tiling_to_svg,
 )
 from brickbox import serialization as ser
+from brickbox.render import PALETTE
 
 
 def test_rational_formatting_is_canonical():
@@ -29,9 +37,20 @@ def test_rational_parsing_accepts_strings_and_ints():
     assert ser.parse_rational("3/4") == F(3, 4)
     assert ser.parse_rational("7") == F(7)
     assert ser.parse_rational(7) == F(7)
-    for bad in ("1/0", "x", 1.5, True, None, [1]):
+    assert ser.parse_rational(" -6/08\n") == F(-3, 4)
+    assert ser.parse_rational("+0/5") == 0
+    # Only sign, ASCII digits and "/" with a nonzero denominator: decimal
+    # and exponent forms (which Fraction would expand, "1e10000000" for
+    # seconds), underscores, other digits and signed denominators fail.
+    for bad in (
+        "1/0", "1/00", "x", 1.5, True, None, [1], "", "+", "/2", "1/", "1 / 2",
+        "1.5", "1e3", "1E3", "1e10000000", "1_000", "\u0661\u0662", "\uff11", "1/-2",
+        "1/+2", "0x10", "inf", "nan",
+    ):
         with pytest.raises(ValueError):
             ser.parse_rational(bad)
+    with pytest.raises(ValueError, match="not a rational number"):
+        ser.parse_rational("9" * 5000)  # more digits than int() converts
 
 
 def test_parse_dims():
@@ -137,3 +156,210 @@ def test_malformed_inputs_are_rejected():
         ser.brick_from_obj({"dims": []})
     with pytest.raises(ValueError):
         ser.placement_from_obj({"brick": "0", "offset": ["1/2"]})
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the tiling I/O paths against per-item references
+# ---------------------------------------------------------------------------
+#
+# The references format every rational and parse every literal on its own.
+# The library parses each distinct offset literal once per tiling and formats
+# each distinct SVG coordinate once per drawing; it must give the same bytes,
+# the same Tiling and the same first error.
+
+
+def reference_format_rational(x):
+    f = frac(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def reference_tiling_to_obj(t):
+    def rationals(values):
+        return [reference_format_rational(v) for v in values]
+
+    return {
+        "box": {"dims": rationals(t.box.dims)},
+        "bricks": [{"dims": rationals(b.dims)} for b in t.bricks],
+        "placements": [{"brick": p.brick_index, "offset": rationals(p.offset)} for p in t.placements],
+    }
+
+
+def reference_parse_rational(value):
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ValueError(f"not a rational literal: {value!r}")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str):
+        return frac(value.strip())
+    raise ValueError(f"not a rational literal: {value!r}")
+
+
+def reference_tiling_from_obj(obj):
+    def rationals(values, what):
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"{what} must be a nonempty list of rationals")
+        return tuple(reference_parse_rational(v) for v in values)
+
+    def shape(o, name, cls):
+        if not isinstance(o, dict) or "dims" not in o:
+            raise ValueError(f"{name} must be an object with a 'dims' list")
+        return cls(rationals(o["dims"], f"{name} dims"))
+
+    def placement(o):
+        if not isinstance(o, dict) or "brick" not in o or "offset" not in o:
+            raise ValueError("placement must be an object with 'brick' and 'offset'")
+        if not isinstance(o["brick"], int) or isinstance(o["brick"], bool):
+            raise ValueError("placement brick index must be an integer")
+        return Placement(o["brick"], rationals(o["offset"], "offset"))
+
+    if not isinstance(obj, dict):
+        raise ValueError("tiling must be an object")
+    for key in ("box", "bricks", "placements"):
+        if key not in obj:
+            raise ValueError(f"tiling is missing '{key}'")
+    if not isinstance(obj["bricks"], list) or not isinstance(obj["placements"], list):
+        raise ValueError("tiling 'bricks' and 'placements' must be lists")
+    return Tiling(
+        bricks=tuple(shape(b, "brick", Brick) for b in obj["bricks"]),
+        placements=tuple(placement(p) for p in obj["placements"]),
+        box=shape(obj["box"], "box", BoxSpec),
+    )
+
+
+def _reference_num(x):
+    if x.denominator == 1:
+        return str(x.numerator)
+    return repr(float(x))
+
+
+def reference_tiling_to_svg(t, scale=100):
+    if t.box.dim != 2:
+        raise ValueError("only 2-d tilings can be rendered")
+    width = t.box.dims[0] * scale
+    height = t.box.dims[1] * scale
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="0 0 {_reference_num(width)} {_reference_num(height)}">',
+        f'<rect x="0" y="0" width="{_reference_num(width)}" height="{_reference_num(height)}" '
+        'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
+    ]
+    for p in t.placements:
+        dims = t.bricks[p.brick_index].dims
+        x = p.offset[0] * scale
+        y = (t.box.dims[1] - p.offset[1] - dims[1]) * scale
+        w = dims[0] * scale
+        h = dims[1] * scale
+        color = PALETTE[p.brick_index % len(PALETTE)]
+        lines.append(
+            f'<rect x="{_reference_num(x)}" y="{_reference_num(y)}" width="{_reference_num(w)}" '
+            f'height="{_reference_num(h)}" fill="{color}" stroke="#000000" stroke-width="1"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+IO_SEED = 20261018
+
+
+def _certificate_tiling(rng, d):
+    """The certificate tiling of a planted two-brick SAT box with rational extents."""
+    a = [F(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(d)]
+    b = [x * rng.choice((1, 2, 3, F(1, 2), F(2, 3))) for x in a]
+    axis = rng.randrange(d)
+    # A multiple of the lcm: both bricks divide it.
+    box = [x * y / rational_gcd(x, y) * rng.randint(1, 3) for x, y in zip(a, b)]
+    box[axis] = rng.randint(0, 4) * a[axis] + rng.randint(1, 4) * b[axis]
+    box, a, b = BoxSpec(box), Brick(a), Brick(b)
+    return certificate_to_tiling(decide_two_brick(box, a, b).certificate, box, a, b)
+
+
+def _mutants(rng, t):
+    """The tiling with one placement dropped, duplicated, or shifted inside the box."""
+    ps = list(t.placements)
+    k = rng.randrange(len(ps))
+    p = ps[k]
+    ax = rng.randrange(t.box.dim)
+    offset = list(p.offset)
+    offset[ax] = (t.box.dims[ax] - t.bricks[p.brick_index].dims[ax]) * F(rng.randint(0, 6), 6)
+    shifted = Placement(p.brick_index, tuple(offset))
+    return [
+        Tiling(bricks=t.bricks, placements=tuple(q), box=t.box)
+        for q in (ps[:k] + ps[k + 1 :], ps[:k] + [p] + ps[k:], ps[:k] + [shifted] + ps[k + 1 :])
+    ]
+
+
+def _forms(value, malformed):
+    """Ways to write one rational in JSON, valid ones first."""
+    n, d = value.numerator, value.denominator
+    forms = [f"{n}/{d}", f"{2 * n}/{2 * d}", f" {n}/{d}\n", f"{n}/{d:03d}"]
+    if d == 1:
+        forms += [n, str(n)]
+    if malformed:
+        forms += [float(value), True, False, None, [f"{n}/{d}"], "x", f"{n}/0"]
+        if d == 1:
+            forms += [float(n), n == 1]
+    return forms
+
+
+def _rewritten(rng, obj):
+    """The tiling JSON with one literal, or one placement, written another way."""
+    obj = json.loads(json.dumps(obj))
+    placements = obj["placements"]
+    roll = rng.random()
+    if roll < 0.15 and placements:
+        k = rng.randrange(len(placements))
+        placements[k] = rng.choice((
+            {"brick": True, "offset": placements[k]["offset"]},
+            {"brick": "0", "offset": placements[k]["offset"]},
+            {"brick": -1, "offset": placements[k]["offset"]},
+            {"brick": 9, "offset": placements[k]["offset"]},
+            {"brick": 0, "offset": []},
+            {"brick": 0, "offset": "1/2"},
+            {"brick": 0, "offset": placements[k]["offset"][:-1]},
+            {"brick": 0},
+            7,
+        ))
+        return obj
+    # Every slot holding one value gets a form drawn afresh, so one file
+    # writes that value in several forms ("1/2", "2/4", 0.5, ...).
+    slots = [obj["box"]["dims"]] + [b["dims"] for b in obj["bricks"]]
+    slots += [p["offset"] for p in placements]
+    target = rng.choice([v for slot in slots for v in slot])
+    forms = _forms(ser.parse_rational(target), malformed=roll < 0.6)
+    for slot in slots:
+        for i, v in enumerate(slot):
+            if v == target:
+                slot[i] = rng.choice(forms)
+    return obj
+
+
+def _parsed(parse, obj):
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_tiling_io_matches_per_item_references_on_seeded_corpus():
+    rng = random.Random(IO_SEED)
+    checked = {"svg": 0, "json": 0, "parse": 0, "errors": 0}
+    for case in range(120):
+        t = _certificate_tiling(rng, 2 + case % 2)
+        for u in [t] + _mutants(rng, t):
+            text = json.dumps(ser.tiling_to_obj(u))
+            assert text == json.dumps(reference_tiling_to_obj(u))
+            assert ser.tiling_from_obj(json.loads(text)) == u
+            checked["json"] += 1
+            if u.box.dim == 2:
+                scale = rng.choice((1, 7, 100))
+                assert tiling_to_svg(u, scale) == reference_tiling_to_svg(u, scale)
+                checked["svg"] += 1
+            for _ in range(3):
+                obj = _rewritten(rng, json.loads(text))
+                got = _parsed(ser.tiling_from_obj, obj)
+                assert got == _parsed(reference_tiling_from_obj, obj), obj
+                checked["errors" if isinstance(got, str) else "parse"] += 1
+    for x in (3, -4, F(2, 4), "6/8", " 5 ", True):
+        assert ser.format_rational(x) == reference_format_rational(x)
+    # Every kind of case is exercised many times.
+    assert min(checked.values()) >= 150, checked

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 import tracemalloc
 from fractions import Fraction as F
 
@@ -398,13 +399,30 @@ def test_residual_memory_does_not_grow_with_the_tiling(build):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+def _bit_patterns(points):
+    # Bit patterns, so that inf and nan draws compare too.
+    return [(type(p), [struct.pack("<d", v) for v in p]) for p in points]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_random_frequencies_match_uniform_draws(dim):
-    for seed in (0, 1, 23, 20240917):
-        for bound in (10.0, 5.0, 0.5, 1e-3, 7):
-            rng = random.Random(seed)
-            expected = [tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(50)]
-            assert random_frequencies(dim, 50, seed, bound) == expected
+    # At 1.7e308, 2 * bound overflows to inf, so draws read inf (or nan for
+    # a zero draw) in Random.uniform as well; they must match bit for bit.
+    for seed in (0, 1, 23, 20240917, -5, -(2**40), 2**32 + 3, 2**70):
+        for bound in (10.0, 5.0, 0.5, 1e-3, 7, 1e-300, 1e300, 1.7e308):
+            for count in (0, 1, 50):
+                rng = random.Random(seed)
+                expected = [
+                    tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(count)
+                ]
+                got = random_frequencies(dim, count, seed, bound)
+                assert _bit_patterns(got) == _bit_patterns(expected)
+
+
+def test_random_frequencies_need_a_dimension():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            random_frequencies(dim, 10, 0)
 
 
 # ---------------------------------------------------------------------------
