@@ -53,6 +53,9 @@ EXIT_BUDGET = 3
 
 ENV_NODE_BUDGET = "BRICKBOX_NODE_BUDGET"
 
+#: Most `spectral --samples`; a sample costs about 200 bytes while it is checked.
+SAMPLE_CAP = 10**6
+
 
 def _positive(value: int, source: str) -> int:
     if value < 1:
@@ -85,6 +88,8 @@ def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
             raise ValueError("instance file needs 'box' and 'bricks'")
         if not isinstance(obj["bricks"], list):
             raise ValueError("'bricks' must be a list")
+        if not obj["bricks"]:
+            raise ValueError("'bricks' must be a nonempty list")
         return ser.box_from_obj(obj["box"]), [ser.brick_from_obj(b) for b in obj["bricks"]]
     if not args.box or not args.brick:
         raise ValueError("provide --box and --brick, or --input FILE")
@@ -203,6 +208,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     tol = args.tolerance
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tolerance must be finite and nonnegative: {tol}")
+    if args.samples > SAMPLE_CAP:
+        raise GridTooLarge(f"{args.samples} samples, cap is {SAMPLE_CAP}")
     tiling = _load_tiling(args)
     points = random_frequencies(tiling.box.dim, args.samples, args.seed, args.bound)
     report = residual_sample(tiling, points, seed=args.seed)

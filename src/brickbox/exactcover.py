@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, rational_gcd
+from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, _common_denominator
 
 DEFAULT_GRID_CAP = 10**6
 DEFAULT_NODE_BUDGET = 10**7
@@ -128,9 +128,10 @@ def build_grid(
 ) -> GridModel:
     """Coarsest per-axis grid on which box and all brick extents are integral.
 
-    The unit on each axis is the rational gcd of the box extent and every
-    brick extent there. Raises GridTooLarge when the total cell count
-    exceeds `cap` (`math.inf` builds the grid uncapped).
+    The unit on each axis is g/D: D is the least common denominator of the
+    box and brick extents there, and g the gcd of those extents as ints in
+    units of 1/D. Raises GridTooLarge when the total cell count exceeds
+    `cap` (`math.inf` builds the grid uncapped).
     """
     if not bricks:
         raise ValueError("need at least one brick type")
@@ -138,16 +139,14 @@ def build_grid(
     for b in bricks:
         if b.dim != d:
             raise ValueError("box and brick dimensions differ")
-    unit = []
+    unit, columns = [], []
     for ax in range(d):
-        g = box.dims[ax]
-        for b in bricks:
-            g = rational_gcd(g, b.dims[ax])
-        unit.append(g)
-    cells = tuple(int(box.dims[ax] / unit[ax]) for ax in range(d))
-    footprints = tuple(
-        tuple(int(b.dims[ax] / unit[ax]) for ax in range(d)) for b in bricks
-    )
+        lcd, ints = _common_denominator([box.dims[ax], *(b.dims[ax] for b in bricks)])
+        g = math.gcd(*ints)
+        unit.append(Fraction(g, lcd))
+        columns.append([v // g for v in ints])
+    cells = tuple(column[0] for column in columns)
+    footprints = tuple(zip(*(column[1:] for column in columns)))
     grid = GridModel(unit=tuple(unit), cells=cells, brick_footprints=footprints)
     _require_cap(grid, cap)
     return grid

@@ -6,11 +6,16 @@ origin-anchored: a box spans [0, L_1] x ... x [0, L_d] and a placement
 positions a brick by its lowest corner. Bricks are used under translation
 only, never rotated.
 
-`verify_tiling_geometric` works in one per-axis integer frame
-(`_integer_frame`): on each axis every length is scaled by the least common
-denominator of the box extent, the brick extents and the offsets there, so
-boundaries and volumes compare as Python ints, which are exact at any size.
-Fractions are built again only for a reported volume-mismatch witness.
+`frac` is the one reader of rational strings, for the JSON and CLI formats
+too: optional surrounding whitespace, an optional sign, ASCII digits, and
+optionally "/" and ASCII digits not all zero ("3", "-3/4", "+6/08"). Decimal
+points, exponents, underscores, other digits and signed denominators are
+rejected; Fraction would spend seconds expanding "1e10000000".
+
+On each axis, `_integer_frame` writes every length of a tiling as an int in
+units of 1/D, for D the least common denominator of the lengths there. The
+verifier compares boundaries and volumes as these ints, exact at any size;
+the oracle's grid and the SVG writer read the same lattice.
 
 All types are immutable values; all functions are pure and safe to call
 concurrently.
@@ -19,6 +24,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,18 +46,28 @@ class GridTooLarge(Exception):
     """Raised when a grid or arrangement would exceed its cell cap."""
 
 
-def frac(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
-    Floats are rejected: they are not exact and must be converted by the
-    caller deliberately.
+
+def frac(value: RationalLike) -> Fraction:
+    """Coerce an int, Fraction (returned as is), or "p/q" string to a Fraction.
+
+    Strings follow the grammar in the module docstring. Floats are rejected:
+    they are not exact and must be converted by the caller deliberately.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or 'p/q' string")
-    try:
+    if not isinstance(value, str):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {value!r}") from exc
+    match = _RATIONAL.fullmatch(text := value.strip())
+    if match is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def _positive_dims(dims: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -101,8 +117,7 @@ class Placement:
     def __post_init__(self) -> None:
         if self.brick_index < 0:
             raise ValueError("brick_index must be nonnegative")
-        offset = tuple(v if isinstance(v, Fraction) else frac(v) for v in self.offset)
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset", tuple(map(frac, self.offset)))
 
 
 @dataclass(frozen=True)
@@ -196,39 +211,45 @@ def rational_gcd(x: RationalLike, y: RationalLike) -> Fraction:
     )
 
 
+def _common_denominator(
+    values: Sequence[Fraction], cap: float = math.inf, refusal: str = ""
+) -> tuple[int, list[int]]:
+    # The least common denominator D of `values`, and each value times D as
+    # an int. Raises GridTooLarge(refusal), before any value is scaled, when
+    # D > cap.
+    ratios = [v.as_integer_ratio() for v in values]
+    dens = {q for _, q in ratios}
+    lcd = 1
+    for q in dens:
+        lcd = math.lcm(lcd, q)
+        if lcd > cap:
+            raise GridTooLarge(refusal)
+    per = {q: lcd // q for q in dens}
+    return lcd, [n * per[q] for n, q in ratios]
+
+
 def _integer_frame(
     t: Tiling,
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]], list[list[int]]]:
-    # One common denominator D per axis: the lcm of the denominators of the
-    # box extent, the brick extents and the placement offsets on that axis.
-    # Returns (D per axis, box extents, each brick's extents, and per axis
-    # every placement's offset), all as ints in units of 1/D. A tiling's
-    # offsets are integer combinations of brick extents, so they never refine
-    # the frame of the box and bricks; offsets that refine it by more than
+    # Per axis, `_common_denominator` of the box extent, the brick extents
+    # and the offsets there: (D per axis, box extents, each brick's extents,
+    # and per axis every offset), as ints in units of 1/D. A tiling's offsets
+    # are integer combinations of brick extents, so they never refine the
+    # frame of the box and bricks; offsets that refine it by more than
     # 2**_FRAME_SLACK_BITS raise GridTooLarge before any offset is scaled.
-    scale, box_ints, offsets = [], [], []
+    scale, columns = [], []
     for ax, length in enumerate(t.box.dims):
-        base = math.lcm(length.denominator, *(b.dims[ax].denominator for b in t.bricks))
-        ratios = [p.offset[ax].as_integer_ratio() for p in t.placements]
-        dens = {q for _, q in ratios}
-        unit, limit = base, base << _FRAME_SLACK_BITS
-        for q in dens:
-            unit = math.lcm(unit, q)
-            if unit > limit:
-                raise GridTooLarge(
-                    f"offsets refine the integer frame on axis {ax} by more than "
-                    f"2**{_FRAME_SLACK_BITS}"
-                )
-        per = {q: unit // q for q in dens}
+        fixed = [length, *(b.dims[ax] for b in t.bricks)]
+        unit, ints = _common_denominator(
+            fixed + [p.offset[ax] for p in t.placements],
+            math.lcm(*(v.denominator for v in fixed)) << _FRAME_SLACK_BITS,
+            f"offsets refine the integer frame on axis {ax} by more than 2**{_FRAME_SLACK_BITS}",
+        )
         scale.append(unit)
-        box_ints.append(length.numerator * (unit // length.denominator))
-        offsets.append([n * per[q] for n, q in ratios])
-        del ratios  # one axis's pairs at a time
-    brick_ints = [
-        tuple(c.numerator * (unit // c.denominator) for c, unit in zip(b.dims, scale))
-        for b in t.bricks
-    ]
-    return tuple(scale), tuple(box_ints), brick_ints, offsets
+        columns.append(ints)
+    n = len(t.bricks) + 1
+    bricks = list(zip(*(c[1:n] for c in columns)))
+    return tuple(scale), tuple(c[0] for c in columns), bricks, [c[n:] for c in columns]
 
 
 def _arrangement_counts(

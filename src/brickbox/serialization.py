@@ -1,18 +1,14 @@
 """Shared JSON schema for all core types.
 
 Rationals travel as canonical "p/q" strings ("3/1" for 3); integer literals
-are accepted on input. A rational string is, after optional surrounding
-whitespace, an optional sign, ASCII digits, and optionally "/" and ASCII
-digits that are not all zero: "3", "-3/4", "+6/08". Anything else (decimal
-points, exponents, underscores, other digits, a signed denominator) is
-rejected; Fraction would accept "1e10000000" and spend seconds building its
-integer. Axis indices are 1-based in JSON and 0-based in the API. Parsers
-validate shape and raise ValueError on malformed input.
+are accepted on input. A rational string follows the one grammar of
+`geometry.frac` ("3", "-3/4", "+6/08"; no decimal points or exponents).
+Axis indices are 1-based in JSON and 0-based in the API. Parsers validate
+shape and raise ValueError on malformed input.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -22,28 +18,16 @@ from .spectral import KeyObservationWitness, SpectralReport
 from .theorem import DecisionOutcome, KeyObservationViolation, SplitCertificate
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-
-
 def format_rational(x: Fraction | int) -> str:
-    f = x if isinstance(x, Fraction) else frac(x)
+    f = frac(x)
     return f"{f.numerator}/{f.denominator}"
 
 
 def parse_rational(value: Any) -> Fraction:
-    """Parse a "p/q" string or integer literal into an exact Fraction."""
-    if _is_int(value):
-        return Fraction(value)
-    if not isinstance(value, str):
+    """Parse a "p/q" string or an int literal (never a bool) into a Fraction."""
+    if not (_is_int(value) or isinstance(value, str)):
         raise ValueError(f"not a rational literal: {value!r}")
-    text = value.strip()
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a rational number: {text!r}")
-    try:
-        return Fraction(int(match[1]), int(match[2] or 1))
-    except ValueError as exc:  # more digits than int() converts
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    return frac(value)
 
 
 def parse_dims(text: str) -> tuple[Fraction, ...]:

@@ -4,7 +4,7 @@ import json
 import time
 from fractions import Fraction
 
-from brickbox import geometry
+from brickbox import cli, geometry
 from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
 
@@ -193,6 +193,19 @@ def test_spectral_bound_must_be_finite_and_positive(capsys, tmp_path):
                              "--tolerance", "1e-9")
         assert (code, out) == (2, "")
         assert err.startswith("invalid input:")
+
+
+def test_spectral_samples_are_capped_before_any_point_is_drawn(capsys, tmp_path, monkeypatch):
+    # Each sample costs about 200 bytes; a count over the cap exits 3 before
+    # random_frequencies could allocate anything.
+    def no_draw(*args):
+        raise AssertionError("points drawn above the sample cap")
+
+    monkeypatch.setattr(cli, "random_frequencies", no_draw)
+    code, out, err = run(capsys, "spectral", "--input", _half_covered_unit_box(tmp_path),
+                         "--samples", str(cli.SAMPLE_CAP + 1))
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: 1000001 samples, cap is 1000000\n"
 
 
 def test_spectral_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
@@ -416,3 +429,7 @@ def test_instance_file_bricks_must_be_a_list(tmp_path, capsys):
     code, out, err = run(capsys, "decide", "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("invalid input:")
+    path.write_text(json.dumps({"box": {"dims": ["1", "1"]}, "bricks": []}))
+    for command in ("decide", "tile"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out, err) == (2, "", "invalid input: 'bricks' must be a nonempty list\n")

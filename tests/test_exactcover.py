@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from brickbox import (
     BoxSpec,
     Brick,
+    GridModel,
     GridTooLarge,
     build_cover_problem,
     build_grid,
     cover_matrix_text,
     exact_cover_tileable,
     one_brick_tileable,
+    rational_gcd,
     rows_to_tiling,
     solve_exact_cover,
     verify_tiling_geometric,
@@ -58,6 +60,41 @@ def test_build_grid_needs_bricks_and_matching_dims():
         build_grid(BoxSpec((1, 1)), [])
     with pytest.raises(ValueError):
         build_grid(BoxSpec((1, 1)), [Brick((1,))])
+
+
+def reference_build_grid(box, bricks):
+    """Each axis unit as a fold of rational_gcd; counts by Fraction division."""
+    unit = []
+    for ax in range(box.dim):
+        g = box.dims[ax]
+        for b in bricks:
+            g = rational_gcd(g, b.dims[ax])
+        unit.append(g)
+    return GridModel(
+        unit=tuple(unit),
+        cells=tuple(int(L / u) for L, u in zip(box.dims, unit)),
+        brick_footprints=tuple(tuple(int(c / u) for c, u in zip(b.dims, unit)) for b in bricks),
+    )
+
+
+def _random_extents(rng, d, units):
+    if units:
+        return [u * rng.randint(1, 10**3) for u in units]
+    return [F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(d)]
+
+
+def test_build_grid_matches_rational_gcd_fold_on_seeded_corpus():
+    rng = random.Random(20261019)
+    for case in range(3000):
+        d, n = 1 + case % 3, rng.randint(1, 3)
+        # Odd cases draw every extent on its own; even cases draw integer
+        # multiples of one random unit per axis, so the gcd is not trivial.
+        units = None if case % 2 else _random_extents(rng, d, None)
+        box = BoxSpec(_random_extents(rng, d, units))
+        bricks = [Brick(_random_extents(rng, d, units)) for _ in range(n)]
+        grid = build_grid(box, bricks, cap=math.inf)
+        assert grid == reference_build_grid(box, bricks), (box, bricks)
+        assert all(type(v) is int for v in grid.cells + sum(grid.brick_footprints, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact geometry: scalars, shapes, and the geometric verifier."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -26,6 +27,7 @@ from brickbox import (
     verify_tiling_geometric,
     volume,
 )
+from brickbox.serialization import parse_rational
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -141,6 +143,46 @@ def test_frac_rejects_floats_and_junk():
         frac("1/0")
     with pytest.raises(ValueError):
         frac("spam")
+
+
+RATIONAL_STRINGS = {
+    "3/4": F(3, 4), "7": F(7), " -6/08\n": F(-3, 4), "+0/5": F(0),
+    **dict.fromkeys((
+        "1/0", "1/00", "x", "", "+", "/2", "1/", "1 / 2", "1.5", "1e3", "1E3", "1e10000000",
+        "1_000", " 1_000 ", "\u0661\u0662", "\uff11", "1/-2", "1/+2", "0x10", "inf", "nan",
+        "9" * 5000,
+    )),
+}
+
+
+@pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=range(len(RATIONAL_STRINGS)))
+def test_every_string_reader_shares_one_grammar(text):
+    value = RATIONAL_STRINGS[text]
+    readers = {
+        "frac": frac,
+        "parse_rational": parse_rational,
+        "Placement": lambda s: Placement(0, (s,)).offset[0],
+        "Brick": lambda s: Brick((s,)).dims[0],
+        "BoxSpec": lambda s: BoxSpec((s,)).dims[0],
+    }
+    for name, read in readers.items():
+        if value is None:
+            with pytest.raises(ValueError, match="not a rational number"):
+                read(text)
+        elif value <= 0 and name in ("Brick", "BoxSpec"):
+            with pytest.raises(ValueError, match="strictly positive"):
+                read(text)
+        else:
+            assert read(text) == value, name
+
+
+def test_frac_returns_fractions_unchanged_and_refuses_exponents_fast():
+    x = F(3, 4)
+    assert frac(x) is x
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a rational number: '1e2000000'"):
+        Brick(("1e2000000", 1))
+    assert time.perf_counter() - start < 0.1  # Fraction() spends 0.6 s expanding it
 
 
 def test_shapes_normalize_and_validate():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from brickbox import (
     BoxSpec,
     Brick,
+    GridTooLarge,
     Placement,
     SplitCertificate,
     Tiling,
@@ -24,6 +25,7 @@ from brickbox import (
     tiling_to_svg,
 )
 from brickbox import serialization as ser
+from brickbox.cli import main
 from brickbox.render import PALETTE
 
 
@@ -340,7 +342,7 @@ def _parsed(parse, obj):
         return f"ValueError: {exc}"
 
 
-def test_tiling_io_matches_per_item_references_on_seeded_corpus():
+def test_tiling_io_matches_per_item_references_on_seeded_corpus(tmp_path, capsys):
     rng = random.Random(IO_SEED)
     checked = {"svg": 0, "json": 0, "parse": 0, "errors": 0}
     for case in range(120):
@@ -351,9 +353,9 @@ def test_tiling_io_matches_per_item_references_on_seeded_corpus():
             assert ser.tiling_from_obj(json.loads(text)) == u
             checked["json"] += 1
             if u.box.dim == 2:
-                scale = rng.choice((1, 7, 100))
-                assert tiling_to_svg(u, scale) == reference_tiling_to_svg(u, scale)
-                checked["svg"] += 1
+                for scale in (rng.choice((1, 7, 100)), 10**6):
+                    assert tiling_to_svg(u, scale) == reference_tiling_to_svg(u, scale)
+                    checked["svg"] += 1
             for _ in range(3):
                 obj = _rewritten(rng, json.loads(text))
                 got = _parsed(ser.tiling_from_obj, obj)
@@ -363,3 +365,31 @@ def test_tiling_io_matches_per_item_references_on_seeded_corpus():
         assert ser.format_rational(x) == reference_format_rational(x)
     # Every kind of case is exercised many times.
     assert min(checked.values()) >= 150, checked
+    # Coordinates past 2**53 are rounded once, from the exact ratio, as
+    # float(Fraction) rounds them.
+    for _ in range(20):
+        t = _certificate_tiling(rng, 2)
+        f = F(rng.randint(10**17, 10**18), rng.randint(1, 10**6))
+        big = Tiling(
+            bricks=tuple(Brick(tuple(c * f for c in b.dims)) for b in t.bricks),
+            placements=tuple(
+                Placement(p.brick_index, tuple(o * f for o in p.offset)) for p in t.placements
+            ),
+            box=BoxSpec(tuple(length * f for length in t.box.dims)),
+        )
+        for scale in (1, 7, 100, 10**6):
+            assert tiling_to_svg(big, scale) == reference_tiling_to_svg(big, scale)
+    # Offsets far finer than the box and bricks need, which no tiling has,
+    # are refused as verify and spectral refuse them (the reference draws).
+    fine = Tiling(
+        bricks=(Brick((F(1, 2), 1)),),
+        placements=(Placement(0, (F(1, 3**50), 0)),),
+        box=BoxSpec((1, 1)),
+    )
+    assert "e-22" in reference_tiling_to_svg(fine)
+    with pytest.raises(GridTooLarge, match="refine the integer frame on axis 0"):
+        tiling_to_svg(fine)
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(ser.tiling_to_obj(fine)))
+    assert main(["render", "--input", str(path)]) == 3
+    assert capsys.readouterr() == ("", "budget exhausted: offsets refine the integer frame on axis 0 by more than 2**64\n")
