@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import serialization as ser
@@ -64,7 +63,7 @@ def _positive(value: int, source: str) -> int:
 
 
 def _node_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "node_budget", None) is not None:
+    if args.node_budget is not None:
         return _positive(args.node_budget, "--node-budget")
     env = os.environ.get(ENV_NODE_BUDGET)
     if env is not None:
@@ -77,7 +76,7 @@ def _node_budget(args: argparse.Namespace) -> int:
 
 
 def _grid_cap(args: argparse.Namespace) -> int:
-    cap = getattr(args, "grid_cap", None)
+    cap = args.grid_cap
     return _positive(cap, "--grid-cap") if cap is not None else DEFAULT_GRID_CAP
 
 
@@ -99,36 +98,15 @@ def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
 
 
 def _load_tiling(args: argparse.Namespace) -> Tiling:
-    if not args.input:
-        raise ValueError("this command needs --input TILING_JSON")
     return ser.tiling_from_obj(json.loads(Path(args.input).read_text()))
 
 
 def _emit(args: argparse.Namespace, payload) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _require_placements_within(
-    cap: int, box: BoxSpec, axis: int, slabs: list[tuple[Brick, int]]
-) -> None:
-    # Each used brick of a slab grid is placed `layers` times along `axis`
-    # and L_i/c_i times on every other axis; an unused brick may not divide
-    # the cross axes, so it is not counted.
-    count = sum(
-        layers * math.prod(
-            int(length / ext)
-            for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
-            if i != axis
-        )
-        for brick, layers in slabs
-        if layers
-    )
-    if count > cap:
-        raise GridTooLarge(f"tiling needs {count} placements, cap is {cap}")
 
 
 def _require_two(bricks: list[Brick]) -> tuple[Brick, Brick]:
@@ -176,13 +154,12 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         _emit(args, ser.tiling_to_obj(outcome.tiling))
         return EXIT_OK
     if len(bricks) == 1:
-        if not one_brick_tileable(box, bricks[0]):
+        brick = bricks[0]
+        if not one_brick_tileable(box, brick):
             _emit(args, {"status": "unsat"})
             return EXIT_NEGATIVE
-        brick = bricks[0]
         layers = int(box.dims[0] / brick.dims[0])
-        _require_placements_within(grid_cap, box, 0, [(brick, layers)])
-        placements = _slab_placements(0, brick, box, 0, layers, Fraction(0))
+        placements = _slab_placements(box, 0, [(brick, layers)], grid_cap)
         _emit(args, ser.tiling_to_obj(Tiling(bricks=(brick,), placements=placements, box=box)))
         return EXIT_OK
     a, b = bricks
@@ -190,9 +167,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if not outcome.tileable:
         _emit(args, {"status": "unsat", "decision": ser.decision_to_obj(outcome)})
         return EXIT_NEGATIVE
-    cert = outcome.certificate
-    _require_placements_within(grid_cap, box, cert.axis, [(a, cert.m), (b, cert.n)])
-    tiling = certificate_to_tiling(cert, box, a, b)
+    tiling = certificate_to_tiling(outcome.certificate, box, a, b, cap=grid_cap)
     _emit(args, ser.tiling_to_obj(tiling))
     return EXIT_OK
 

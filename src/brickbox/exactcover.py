@@ -255,10 +255,9 @@ def solve_exact_cover(
     "timeout" means the node budget ran out first, after exactly
     `node_budget` row trials (any solutions already found are included).
     With limit=1 the first solution is returned as soon as it is found.
+    The problem has at least one column, as every `build_grid` model does.
     """
     n = problem.n_columns
-    if not n:
-        return CoverOutcome(SAT, ((),), 0)
     Y = [row.cells for row in problem.rows]
     X: list[set[int]] = [set() for _ in range(n)]
     for rid, cells in enumerate(Y):

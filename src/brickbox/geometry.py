@@ -49,17 +49,23 @@ class GridTooLarge(Exception):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is not the number 1 here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def frac(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction (returned as is), or "p/q" string to a Fraction.
 
-    Strings follow the grammar in the module docstring. Floats are rejected:
-    they are not exact and must be converted by the caller deliberately.
+    Strings follow the grammar in the module docstring. Every other type
+    raises TypeError: bools, floats, Decimals and numpy scalars must be
+    converted by the caller deliberately.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass a Fraction, int, or 'p/q' string")
     if not isinstance(value, str):
+        if not _is_int(value):
+            raise TypeError(f"{type(value).__name__} is not a Fraction, int or 'p/q' string")
         return Fraction(value)
     match = _RATIONAL.fullmatch(text := value.strip())
     if match is None:
@@ -115,6 +121,8 @@ class Placement:
     offset: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.brick_index):
+            raise TypeError(f"brick_index must be an int: {self.brick_index!r}")
         if self.brick_index < 0:
             raise ValueError("brick_index must be nonnegative")
         object.__setattr__(self, "offset", tuple(map(frac, self.offset)))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .counterexample import NoSplitReport, ThreeBrickInstance
-from .geometry import BoxSpec, Brick, Placement, Tiling, VerifyOutcome, frac
+from .geometry import BoxSpec, Brick, Placement, Tiling, VerifyOutcome, _is_int, frac
 from .spectral import KeyObservationWitness, SpectralReport
 from .theorem import DecisionOutcome, KeyObservationViolation, SplitCertificate
 
@@ -25,9 +25,10 @@ def format_rational(x: Fraction | int) -> str:
 
 def parse_rational(value: Any) -> Fraction:
     """Parse a "p/q" string or an int literal (never a bool) into a Fraction."""
-    if not (_is_int(value) or isinstance(value, str)):
-        raise ValueError(f"not a rational literal: {value!r}")
-    return frac(value)
+    try:
+        return frac(value)
+    except TypeError as exc:
+        raise ValueError(f"not a rational literal: {value!r}") from exc
 
 
 def parse_dims(text: str) -> tuple[Fraction, ...]:
@@ -36,11 +37,6 @@ def parse_dims(text: str) -> tuple[Fraction, ...]:
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed extent list: {text!r}")
     return tuple(parse_rational(p) for p in parts)
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true and false parse as bools, which Python counts as ints.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _rational_list(values: Sequence[Fraction | int]) -> list[str]:

@@ -6,6 +6,10 @@ of the first brick and the other by a grid of the second. This module
 decides that condition, produces the split as an explicit certificate, and
 realizes any certificate as a concrete tiling.
 
+One slab-grid builder makes every tiling here, of one brick or two: it
+counts the placements and raises GridTooLarge over the cap before it builds
+any.
+
 The necessary condition checked first ("key observation"): for every
 ordered pair of distinct axes i != j, at least one of L_i/a_i and L_j/b_j
 must be an integer. A violating pair yields a frequency-domain witness
@@ -14,11 +18,12 @@ point where both brick transforms vanish but the box transform does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .geometry import BoxSpec, Brick, Placement, Tiling, frac
+from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, frac
 from .spectral import KeyObservationWitness, key_observation_witness
 
 
@@ -188,31 +193,43 @@ def validate_certificate(
 
 
 def _slab_placements(
-    brick_index: int, brick: Brick, box: BoxSpec, axis: int, layers: int, base: Fraction
+    box: BoxSpec, axis: int, slabs: list[tuple[Brick, int]], cap: float
 ) -> list[Placement]:
-    # Grid of `layers` copies along `axis` starting at `base`, with
-    # box.dims[i]/brick.dims[i] copies on every other axis. An unused brick
-    # may not divide the cross axes, so it must not build their offsets.
-    if not layers:
-        return []
-    offsets = [
-        [base + k * ext for k in range(layers)] if i == axis
-        else [k * ext for k in range(int(length / ext))]
-        for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
-    ]
-    return [Placement(brick_index, offset) for offset in product(*offsets)]
+    # Slab k is a grid of brick k: `layers` copies along `axis`, after slabs
+    # 0..k-1, and L_i/c_i copies on every other axis. An unused brick may
+    # not divide the cross axes, so it is neither counted nor built.
+    grids = []
+    for k, (brick, layers) in enumerate(slabs):
+        if layers:
+            counts = [int(length / ext) for length, ext in zip(box.dims, brick.dims)]
+            counts[axis] = layers
+            grids.append((k, brick, counts))
+    total = sum(math.prod(counts) for _, _, counts in grids)
+    if total > cap:
+        raise GridTooLarge(f"tiling needs {total} placements, cap is {cap}")
+    placements: list[Placement] = []
+    base = Fraction(0)
+    for k, brick, counts in grids:
+        offsets = [
+            [base + j * ext for j in range(count)] if i == axis
+            else [j * ext for j in range(count)]
+            for i, (ext, count) in enumerate(zip(brick.dims, counts))
+        ]
+        placements += [Placement(k, offset) for offset in product(*offsets)]
+        base += counts[axis] * brick.dims[axis]
+    return placements
 
 
 def certificate_to_tiling(
-    cert: SplitCertificate, box: BoxSpec, a: Brick, b: Brick
+    cert: SplitCertificate, box: BoxSpec, a: Brick, b: Brick, cap: float = math.inf
 ) -> Tiling:
     """Materialize a certificate as an explicit tiling of the box.
 
     The left slab [0, cut] gets m layers of brick a, the right slab the
     n layers of brick b, each layer a full grid across the other axes. The
-    result always passes geometric verification.
+    result always passes geometric verification. Over `cap` placements (as
+    `tile --grid-cap` sets) it raises GridTooLarge before building any.
     """
     validate_certificate(cert, box, a, b)
-    placements = _slab_placements(0, a, box, cert.axis, cert.m, Fraction(0))
-    placements += _slab_placements(1, b, box, cert.axis, cert.n, cert.cut)
+    placements = _slab_placements(box, cert.axis, [(a, cert.m), (b, cert.n)], cap)
     return Tiling(bricks=(a, b), placements=tuple(placements), box=box)

@@ -4,6 +4,8 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
+
 from brickbox import cli, geometry
 from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
@@ -433,3 +435,40 @@ def test_instance_file_bricks_must_be_a_list(tmp_path, capsys):
     for command in ("decide", "tile"):
         code, out, err = run(capsys, command, "--input", str(path))
         assert (code, out, err) == (2, "", "invalid input: 'bricks' must be a nonempty list\n")
+
+
+_UNIT_SQUARE = {"dims": ["1", "1"]}
+_UNIT_CUBE = {"dims": ["1", "1", "1"]}
+INVALID_FILES = {
+    "instance without box": (
+        "tile", {"bricks": [_UNIT_SQUARE]}, "instance file needs 'box' and 'bricks'"),
+    "no instance": ("tile", None, "provide --box and --brick, or --input FILE"),
+    "brick not an object": (
+        "decide", {"box": _UNIT_SQUARE, "bricks": [_UNIT_SQUARE, ["1", "1"]]},
+        "brick must be an object with a 'dims' list"),
+    "box without dims": (
+        "tile", {"box": {"extents": ["1", "1"]}, "bricks": [_UNIT_SQUARE]},
+        "box must be an object with a 'dims' list"),
+    "tiling bricks not a list": (
+        "verify", {"box": _UNIT_SQUARE, "bricks": _UNIT_SQUARE, "placements": []},
+        "tiling 'bricks' and 'placements' must be lists"),
+    "tiling placements not a list": (
+        "spectral", {"box": _UNIT_SQUARE, "bricks": [_UNIT_SQUARE], "placements": {}},
+        "tiling 'bricks' and 'placements' must be lists"),
+    "3-d render": (
+        "render",
+        {"box": _UNIT_CUBE, "bricks": [_UNIT_CUBE],
+         "placements": [{"brick": 0, "offset": ["0", "0", "0"]}]},
+        "only 2-d tilings can be rendered"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_FILES)
+def test_malformed_input_files_exit_two(case, tmp_path, capsys):
+    command, obj, message = INVALID_FILES[case]
+    argv = [command]
+    if obj is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        argv += ["--input", str(path)]
+    assert run(capsys, *argv) == (2, "", f"invalid input: {message}\n")

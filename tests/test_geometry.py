@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -153,6 +154,23 @@ RATIONAL_STRINGS = {
         "9" * 5000,
     )),
 }
+
+
+@pytest.mark.parametrize("value", [True, False, Decimal("1.5"), np.int64(3), None], ids=repr)
+def test_only_fractions_ints_and_strings_are_rationals(value):
+    # frac is the one type gate: bools, Decimals and numpy scalars are not
+    # coerced, and the JSON reader turns its TypeError into a ValueError.
+    for build in (
+        frac,
+        lambda v: Brick((v, 1)),
+        lambda v: BoxSpec((1, v)),
+        lambda v: Placement(0, (v,)),
+        lambda v: Placement(v, (0,)),
+    ):
+        with pytest.raises(TypeError):
+            build(value)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(value)
 
 
 @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=range(len(RATIONAL_STRINGS)))

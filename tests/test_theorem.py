@@ -1,8 +1,10 @@
 """Split certificates: decision, search order, and tiling construction."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from brickbox import (
     BoxSpec,
     Brick,
     DecisionOutcome,
+    GridTooLarge,
     KeyObservationViolation,
     Placement,
     SplitCertificate,
@@ -26,6 +29,7 @@ from brickbox import (
     validate_certificate,
     verify_tiling_geometric,
 )
+from brickbox.theorem import _slab_placements
 
 # ---------------------------------------------------------------------------
 # Independent oracle
@@ -484,3 +488,114 @@ def test_decider_matches_axis_scan_reference_on_seeded_corpus():
     assert errors["brick a does not divide the box"] >= 50, errors
     assert errors["brick b does not divide the box"] >= 50, errors
     assert errors[None] >= 50, errors
+
+
+# ---------------------------------------------------------------------------
+# Differential test: one slab-grid builder against the per-slab builder and
+# the separate placement count it replaces
+# ---------------------------------------------------------------------------
+
+
+def reference_slab_placements(brick_index, brick, box, axis, layers, base):
+    """The earlier builder: one slab per call, offsets from `base`."""
+    if not layers:
+        return []
+    offsets = [
+        [base + k * ext for k in range(layers)] if i == axis
+        else [k * ext for k in range(int(length / ext))]
+        for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
+    ]
+    return [Placement(brick_index, offset) for offset in product(*offsets)]
+
+
+def reference_require_placements_within(cap, box, axis, slabs):
+    """The earlier `tile --grid-cap` check, a second formula for the count."""
+    count = sum(
+        layers * math.prod(
+            int(length / ext)
+            for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
+            if i != axis
+        )
+        for brick, layers in slabs
+        if layers
+    )
+    if count > cap:
+        raise GridTooLarge(f"tiling needs {count} placements, cap is {cap}")
+
+
+SLAB_SEED, SLAB_CASES = 14, 2400
+
+
+def _ratio(rng):
+    return F(rng.randint(1, 12), rng.randint(1, 12))
+
+
+def _slab_case(rng, kind):
+    # (box, axis, slabs, cert): a valid certificate with its two slabs, or,
+    # for kind "single", a one-brick grid on axis 0 and no certificate. An
+    # unused brick gets cross extents that need not divide the box.
+    d = rng.randint(1, 3)
+    if kind == "single":
+        brick = Brick(tuple(_ratio(rng) for _ in range(d)))
+        box = BoxSpec(tuple(c * rng.randint(1, 4) for c in brick.dims))
+        return box, 0, [(brick, int(box.dims[0] / brick.dims[0]))], None
+    m = 0 if kind == "m = 0" else rng.randint(1, 3)
+    n = 0 if kind == "n = 0" else rng.randint(1, 3)
+    axis = rng.randrange(d)
+    a_axis, b_axis = _ratio(rng), _ratio(rng)
+    box_dims, a_dims, b_dims = [], [], []
+    for i in range(d):
+        if i == axis:
+            box_dims.append(m * a_axis + n * b_axis)
+            a_dims.append(a_axis)
+            b_dims.append(b_axis)
+            continue
+        length = _ratio(rng)
+        box_dims.append(length)
+        a_dims.append(length / rng.randint(1, 3) if m else _ratio(rng))
+        b_dims.append(length / rng.randint(1, 3) if n else _ratio(rng))
+    box, a, b = BoxSpec(box_dims), Brick(a_dims), Brick(b_dims)
+    cert = SplitCertificate(axis=axis, m=m, n=n, cut=m * a_axis)
+    return box, axis, [(a, m), (b, n)], cert
+
+
+def _build_or_refusal(build):
+    try:
+        return tuple(build())
+    except GridTooLarge as exc:
+        return str(exc)
+
+
+def test_slab_builder_matches_per_slab_reference_on_seeded_corpus():
+    rng = random.Random(SLAB_SEED)
+    kinds = ("mixed", "m = 0", "n = 0", "single")
+    seen = Counter()
+    for _ in range(SLAB_CASES):
+        kind = rng.choice(kinds)
+        box, axis, slabs, cert = _slab_case(rng, kind)
+        expected, base = [], F(0)
+        for k, (brick, layers) in enumerate(slabs):
+            expected += reference_slab_placements(k, brick, box, axis, layers, base)
+            base += layers * brick.dims[axis]
+        count = len(expected)
+        if cert is None:
+            def build(cap):
+                return _slab_placements(box, axis, slabs, cap)
+        else:
+            assert base == box.dims[axis]
+            (a, _), (b, _) = slabs
+
+            def build(cap):
+                return certificate_to_tiling(cert, box, a, b, cap=cap).placements
+        assert _build_or_refusal(lambda: build(math.inf)) == tuple(expected), (kind, box, slabs)
+        assert _build_or_refusal(lambda: build(count)) == tuple(expected)
+        reference_require_placements_within(count, box, axis, slabs)
+        refusal = f"tiling needs {count} placements, cap is {count - 1}"
+        with pytest.raises(GridTooLarge) as exc:
+            reference_require_placements_within(count - 1, box, axis, slabs)
+        assert str(exc.value) == refusal
+        assert _build_or_refusal(lambda: build(count - 1)) == refusal
+        seen[kind, box.dim] += 1
+    for kind in kinds:
+        for d in (1, 2, 3):
+            assert seen[kind, d] >= 100, seen
