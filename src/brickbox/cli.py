@@ -2,7 +2,8 @@
 
 Subcommands: decide, split, tile, verify, spectral, counterexample, render.
 Exit codes: 0 success, 1 negative answer (UNSAT / no certificate / failed
-verification, with a JSON body), 2 invalid input, 3 budget exhaustion.
+verification, with a JSON body; a counterexample whose check finds a
+split), 2 invalid input, 3 budget exhaustion.
 The solver node budget can also be set via BRICKBOX_NODE_BUDGET.
 """
 
@@ -213,7 +214,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         json.dumps(ser.nosplit_report_to_obj(report), indent=2) + "\n"
     )
     _print_nosplit_summary(inst, report)
-    return EXIT_OK
+    return EXIT_OK if report.no_split else EXIT_NEGATIVE
 
 
 def _print_nosplit_summary(inst, report) -> None:

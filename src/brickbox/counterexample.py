@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .exactcover import (
@@ -48,8 +49,15 @@ class ThreeBrickInstance:
     """Box (R+1) x (R+1) with brick types 1 x R, R x 1, (R-1) x (R-1)."""
 
     R: int
-    box: BoxSpec
-    bricks: tuple[Brick, Brick, Brick]
+
+    @property
+    def box(self) -> BoxSpec:
+        return BoxSpec((self.R + 1, self.R + 1))
+
+    @property
+    def bricks(self) -> tuple[Brick, Brick, Brick]:
+        R = self.R
+        return Brick((1, R)), Brick((R, 1)), Brick((R - 1, R - 1))
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,7 @@ def make_instance(R: int) -> ThreeBrickInstance:
         raise ValueError("R must be an integer")
     if R < 4:
         raise ValueError(f"R must be at least 4; R={R} admits a proper-subset split")
-    box = BoxSpec((R + 1, R + 1))
-    bricks = (Brick((1, R)), Brick((R, 1)), Brick((R - 1, R - 1)))
-    return ThreeBrickInstance(R=R, box=box, bricks=bricks)
+    return ThreeBrickInstance(R)
 
 
 def pinwheel_tiling(inst: ThreeBrickInstance) -> Tiling:
@@ -115,13 +121,6 @@ def pinwheel_tiling(inst: ThreeBrickInstance) -> Tiling:
         Placement(0, (0, 1)),  # left strip
     )
     return Tiling(bricks=inst.bricks, placements=placements, box=inst.box)
-
-
-def _proper_subsets(count: int) -> list[tuple[int, ...]]:
-    subsets: list[tuple[int, ...]] = []
-    for size in range(1, count):
-        subsets.extend(combinations(range(count), size))
-    return subsets
 
 
 def proper_split_report(
@@ -138,26 +137,24 @@ def proper_split_report(
     rather than skewing the verdict.
     """
     bricks = tuple(bricks)
-    subsets = _proper_subsets(len(bricks))
+    n = len(bricks)
+    subsets = [s for size in range(1, n) for s in combinations(range(n), size)]
     pairs = [(s, t) for s in subsets for t in subsets]
     grid = build_grid(box, bricks, cap=grid_cap)
-    memo: dict[tuple, bool] = {}
 
+    @cache
     def side_tileable(dims: tuple[Fraction, ...], subset: tuple[int, ...]) -> bool:
-        key = (dims, subset)
-        if key not in memo:
-            outcome = exact_cover_tileable(
-                BoxSpec(dims),
-                [bricks[i] for i in subset],
-                grid_cap=grid_cap,
-                node_budget=node_budget,
+        outcome = exact_cover_tileable(
+            BoxSpec(dims),
+            [bricks[i] for i in subset],
+            grid_cap=grid_cap,
+            node_budget=node_budget,
+        )
+        if outcome.status == TIMEOUT:
+            raise BudgetExhausted(
+                f"node budget exhausted deciding box {dims} with types {subset}"
             )
-            if outcome.status == TIMEOUT:
-                raise BudgetExhausted(
-                    f"node budget exhausted deciding box {dims} with types {subset}"
-                )
-            memo[key] = outcome.status == SAT
-        return memo[key]
+        return outcome.status == SAT
 
     entries: list[SplitEntry] = []
     for axis in range(box.dim):

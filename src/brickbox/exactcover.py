@@ -157,20 +157,6 @@ def _require_cap(grid: GridModel, cap: float) -> None:
         raise GridTooLarge(f"grid needs {grid.cell_count} cells, cap is {cap}")
 
 
-def _strides(cells: tuple[int, ...]) -> tuple[int, ...]:
-    # Row-major: the last axis varies fastest.
-    out = [1] * len(cells)
-    for ax in range(len(cells) - 2, -1, -1):
-        out[ax] = out[ax + 1] * cells[ax + 1]
-    return tuple(out)
-
-
-def _row_major_ids(shape: Sequence[int], strides: np.ndarray) -> np.ndarray:
-    # Cell ids of every point of a box of `shape` at the origin, in the
-    # order of nested loops over the axes (the last axis varies fastest).
-    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T @ strides
-
-
 def build_cover_problem(grid: GridModel) -> CoverProblem:
     """Enumerate all in-bounds placements as cover rows, in deterministic order.
 
@@ -178,13 +164,15 @@ def build_cover_problem(grid: GridModel) -> CoverProblem:
     row-major over the grid. Bricks too large for the grid simply produce
     no rows.
     """
-    strides = np.array(_strides(grid.cells), dtype=np.int64)
+    ids = np.arange(grid.cell_count, dtype=np.int64).reshape(grid.cells)
     rows: list[CoverRow] = []
     for brick_idx, footprint in enumerate(grid.brick_footprints):
         spans = [c - f + 1 for c, f in zip(grid.cells, footprint)]
         if min(spans) < 1:
             continue
-        covered = _row_major_ids(spans, strides)[:, None] + _row_major_ids(footprint, strides)
+        # Row-major ids are linear: the cell at offset + rel has id(offset) + id(rel).
+        base = ids[tuple(map(slice, spans))].reshape(-1, 1)
+        covered = base + ids[tuple(map(slice, footprint))].reshape(1, -1)
         rows.extend(map(
             CoverRow,
             repeat(brick_idx),

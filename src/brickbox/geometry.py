@@ -76,41 +76,38 @@ def frac(value: RationalLike) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_dims(dims: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    out = tuple(frac(v) for v in dims)
-    if not out:
-        raise ValueError("dimension must be at least 1")
-    if any(v <= 0 for v in out):
-        raise ValueError("all extents must be strictly positive")
-    return out
+def _rationals(values: Sequence[RationalLike], name: str) -> tuple[Fraction, ...]:
+    # A string is one rational, never a list of them: "12" is not (1, 2).
+    if isinstance(values, str):
+        raise TypeError(f"{name} must be a sequence of rationals, not a string: {values!r}")
+    return tuple(map(frac, values))
 
 
 @dataclass(frozen=True)
-class Brick:
+class _Extents:
+    # The body `Brick` and `BoxSpec` share: strictly positive extents, d >= 1.
+
+    dims: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        dims = _rationals(self.dims, "extents")
+        if not dims:
+            raise ValueError("dimension must be at least 1")
+        if any(v <= 0 for v in dims):
+            raise ValueError("all extents must be strictly positive")
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def dim(self) -> int:
+        return len(self.dims)
+
+
+class Brick(_Extents):
     """An axis-aligned d-dimensional rectangle given by its extents."""
 
-    dims: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _positive_dims(self.dims))
-
-    @property
-    def dim(self) -> int:
-        return len(self.dims)
-
-
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(_Extents):
     """The target box [0, L_1] x ... x [0, L_d]."""
-
-    dims: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _positive_dims(self.dims))
-
-    @property
-    def dim(self) -> int:
-        return len(self.dims)
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class Placement:
             raise TypeError(f"brick_index must be an int: {self.brick_index!r}")
         if self.brick_index < 0:
             raise ValueError("brick_index must be nonnegative")
-        object.__setattr__(self, "offset", tuple(map(frac, self.offset)))
+        object.__setattr__(self, "offset", _rationals(self.offset, "offset"))
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ class VerifyOutcome:
 
 def volume(shape: Brick | BoxSpec) -> Fraction:
     """Exact product of the extents."""
-    if not isinstance(shape, (Brick, BoxSpec)):
+    if not isinstance(shape, _Extents):
         raise TypeError("volume expects a Brick or BoxSpec")
     return math.prod(shape.dims, start=Fraction(1))
 

@@ -54,18 +54,31 @@ class KeyObservationViolation:
 
 @dataclass(frozen=True)
 class DecisionOutcome:
-    """Answer of `decide_two_brick` with its supporting evidence.
+    """Answer of `decide_two_brick`: its evidence, and what is read off it.
 
-    Tileable outcomes carry a certificate. Untileable outcomes carry either
-    the violated pairwise-integrality condition (plus its frequency witness)
-    or, when that condition holds, the reason the split search exhausted.
+    A tileable instance holds its split certificate. An untileable one holds
+    the frequency witness of a violated pairwise-integrality condition when
+    one exists, and nothing when the split search is exhausted.
     """
 
-    tileable: bool
     certificate: SplitCertificate | None = None
-    obstruction: KeyObservationViolation | None = None
     witness: KeyObservationWitness | None = None
-    reason: str | None = None
+
+    @property
+    def tileable(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def obstruction(self) -> KeyObservationViolation | None:
+        return KeyObservationViolation(*self.witness.pair) if self.witness is not None else None
+
+    @property
+    def reason(self) -> str | None:
+        if self.tileable:
+            return None
+        if self.witness is not None:
+            return "pairwise integrality condition violated"
+        return "no axis admits a hyperplane split"
 
 
 def _require_same_dim(box: BoxSpec, *bricks: Brick) -> None:
@@ -147,23 +160,19 @@ def decide_two_brick(box: BoxSpec, a: Brick, b: Brick) -> DecisionOutcome:
     """Decide whether translates of the two bricks tile the box.
 
     Split existence is equivalent to tileability, so the result is exact,
-    not a heuristic. Untileable instances are annotated with the violated
-    pairwise-integrality condition and its frequency witness when one
-    exists, or with the exhaustion reason otherwise.
+    not a heuristic. Untileable instances carry the frequency witness of the
+    violated pairwise-integrality condition when one exists, and no evidence
+    when the split search is exhausted.
     """
     cert = find_split(box, a, b)
     if cert is not None:
-        return DecisionOutcome(tileable=True, certificate=cert)
+        return DecisionOutcome(certificate=cert)
     violation = key_observation_holds(box, a, b)
     if violation is not None:
-        witness = key_observation_witness(box, a, b, violation.i, violation.j)
         return DecisionOutcome(
-            tileable=False,
-            obstruction=violation,
-            witness=witness,
-            reason="pairwise integrality condition violated",
+            witness=key_observation_witness(box, a, b, violation.i, violation.j)
         )
-    return DecisionOutcome(tileable=False, reason="no axis admits a hyperplane split")
+    return DecisionOutcome()
 
 
 def validate_certificate(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from brickbox import cli, geometry
+from brickbox import ThreeBrickInstance, cli, geometry
 from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
 
@@ -358,6 +358,16 @@ def test_counterexample_emits_artifacts(tmp_path, capsys):
 
     code, _, _ = run(capsys, "counterexample", "--R", "3", "--output-dir", str(tmp_path))
     assert code == 2  # not a family member
+
+
+def test_counterexample_whose_check_finds_a_split_exits_one(tmp_path, capsys, monkeypatch):
+    # R = 3 is outside the family: each 2 x 4 half is filled by the 2 x 2 square.
+    monkeypatch.setattr(cli, "make_instance", lambda R: ThreeBrickInstance(3))
+    code, out, _ = run(capsys, "counterexample", "--R", "4", "--output-dir", str(tmp_path))
+    assert code == 1
+    for name in ("instance.json", "tiling.json", "tiling.svg", "nosplit.json"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert "verdict: split found at axis 1, cut 2\n" in out
 
 
 def test_render_is_deterministic(tmp_path, capsys):

@@ -17,7 +17,7 @@ from brickbox import (
     verify_tiling_geometric,
     volume,
 )
-from brickbox.counterexample import BudgetExhausted
+from brickbox.counterexample import BudgetExhausted, ThreeBrickInstance
 
 
 def test_make_instance_members():
@@ -27,6 +27,9 @@ def test_make_instance_members():
     inst5 = make_instance(5)
     assert inst5.box.dims == (F(6), F(6))
     assert tuple(b.dims for b in inst5.bricks) == ((1, 5), (5, 1), (4, 4))
+    with pytest.raises(TypeError):
+        ThreeBrickInstance(R=4, box=inst.box, bricks=inst.bricks)
+    assert ThreeBrickInstance(4) == inst
 
 
 def test_make_instance_rejects_small_R():

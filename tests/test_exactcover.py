@@ -361,9 +361,9 @@ DIFF_SEED = 41
 
 def reference_build_cover_problem(grid):
     """Rows by nested loops over offsets and footprint cells."""
-    from brickbox.exactcover import CoverProblem, CoverRow, _strides
+    from brickbox.exactcover import CoverProblem, CoverRow
 
-    strides = _strides(grid.cells)
+    strides = [math.prod(grid.cells[ax + 1:]) for ax in range(len(grid.cells))]
     rows = []
     for brick_idx, footprint in enumerate(grid.brick_footprints):
         spans = [grid.cells[ax] - footprint[ax] for ax in range(len(grid.cells))]

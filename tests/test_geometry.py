@@ -173,6 +173,16 @@ def test_only_fractions_ints_and_strings_are_rationals(value):
         parse_rational(value)
 
 
+@pytest.mark.parametrize("text", ["12", "05", "3/2"], ids=repr)
+def test_a_string_is_one_rational_never_an_extent_list(text):
+    # Iterating a string would read "12" as the extents (1, 2).
+    for build in (Brick, BoxSpec, lambda s: Placement(0, s)):
+        with pytest.raises(TypeError, match="not a string"):
+            build(text)
+    assert Brick((text,)).dims == BoxSpec((text,)).dims == (frac(text),)
+    assert Placement(0, (text,)).offset == (frac(text),)
+
+
 @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=range(len(RATIONAL_STRINGS)))
 def test_every_string_reader_shares_one_grammar(text):
     value = RATIONAL_STRINGS[text]

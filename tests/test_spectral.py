@@ -21,6 +21,7 @@ from brickbox import (
     decide_two_brick,
     frac,
     in_zero_set_Z,
+    interiors_disjoint,
     key_observation_holds,
     key_observation_witness,
     make_instance,
@@ -523,3 +524,39 @@ def test_witness_is_exact_on_seeded_corpus():
         assert abs(fa) < 1e-12 and abs(fb) < 1e-12
         floated += 1
     assert 100 < floated < witnesses
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: interiors_disjoint(
+                Placement(0, (0, 0)), Placement(0, (0,)), [Brick((1, 1))]
+            ),
+            "placements have different dimensions",
+        ),
+        (
+            lambda: SpectralReport(samples=1, max_abs_residual=-0.5),
+            "residual magnitudes are nonnegative",
+        ),
+        (
+            lambda: in_zero_set_Z((F(1),), BoxSpec((1, 1))),
+            "frequency and box have different dimensions",
+        ),
+        (
+            lambda: key_observation_witness(
+                BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2))), Brick((F(1, 2),)), 0, 1
+            ),
+            "brick and box dimensions differ",
+        ),
+    ],
+    ids=["interiors_disjoint", "SpectralReport", "in_zero_set_Z", "key_observation_witness"],
+)
+def test_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -261,9 +261,13 @@ def test_decide_untileable_without_violation_reports_exhaustion():
     # Pairwise integrality holds (both bricks are only bad on axis 0) but no
     # cut exists: 2(m + n)/5 = 1 has no integer solutions.
     out = decide_two_brick(BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2))), Brick((F(2, 5), F(1, 2))))
-    assert not out.tileable
-    assert out.obstruction is None
-    assert out.reason is not None
+    assert out == DecisionOutcome()  # no evidence: the outcome holds neither field
+    assert (out.tileable, out.obstruction, out.reason) == (
+        False, None, "no axis admits a hyperplane split"
+    )
+    assert decide_two_brick(BoxSpec((7, 1)), Brick((2, 1)), Brick((4, 1))) == out
+    with pytest.raises(TypeError):
+        DecisionOutcome(tileable=True)  # tileable is read off the certificate
 
 
 def test_decide_one_dimension():
@@ -360,16 +364,11 @@ def reference_key_observation(box, a, b):
 def reference_decision(box, a, b):
     cert = reference_find_split(box, a, b)
     if cert is not None:
-        return DecisionOutcome(tileable=True, certificate=cert)
+        return DecisionOutcome(certificate=cert)
     violation = reference_key_observation(box, a, b)
     if violation is not None:
-        return DecisionOutcome(
-            tileable=False,
-            obstruction=violation,
-            witness=key_observation_witness(box, a, b, violation.i, violation.j),
-            reason="pairwise integrality condition violated",
-        )
-    return DecisionOutcome(tileable=False, reason="no axis admits a hyperplane split")
+        return DecisionOutcome(witness=key_observation_witness(box, a, b, violation.i, violation.j))
+    return DecisionOutcome()
 
 
 def reference_certificate_error(cert, box, a, b):
@@ -466,9 +465,18 @@ def test_decider_matches_axis_scan_reference_on_seeded_corpus():
     for _ in range(DIFF_CASES):
         box, a, b = _diff_case(rng)
         expected = reference_decision(box, a, b)
-        assert decide_two_brick(box, a, b) == expected, (box, a, b)
+        violation = reference_key_observation(box, a, b)
+        got = decide_two_brick(box, a, b)
+        assert got == expected, (box, a, b)
+        if expected.certificate is not None:
+            read_off = (True, None, None)
+        elif violation is not None:
+            read_off = (False, violation, "pairwise integrality condition violated")
+        else:
+            read_off = (False, None, "no axis admits a hyperplane split")
+        assert (got.tileable, got.obstruction, got.reason) == read_off, (box, a, b)
         assert find_split(box, a, b) == expected.certificate, (box, a, b)
-        assert key_observation_holds(box, a, b) == reference_key_observation(box, a, b)
+        assert key_observation_holds(box, a, b) == violation
         seen[box.dim, _category(expected)] += 1
 
         cert = _random_certificate(rng, box, a, b)
