@@ -8,7 +8,6 @@ family whose boxes admit no splitting cut.
 """
 
 from .counterexample import (
-    BudgetExhausted,
     NoSplitReport,
     SplitEntry,
     ThreeBrickInstance,
@@ -40,8 +39,6 @@ from .geometry import (
     Tiling,
     VerifyOutcome,
     frac,
-    interiors_disjoint,
-    rational_gcd,
     verify_tiling_geometric,
     volume,
 )
@@ -49,7 +46,6 @@ from .render import tiling_to_svg
 from .spectral import (
     KeyObservationWitness,
     SpectralReport,
-    box_transform,
     in_zero_set_Z,
     key_observation_witness,
     random_frequencies,

@@ -4,7 +4,7 @@ Subcommands: decide, split, tile, verify, spectral, counterexample, render.
 Exit codes: 0 success, 1 negative answer (UNSAT / no certificate / failed
 verification, with a JSON body; a counterexample whose check finds a
 split), 2 invalid input, 3 budget exhaustion.
-The solver node budget can also be set via BRICKBOX_NODE_BUDGET.
+The node budget of `tile`'s search can also be set via BRICKBOX_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import sys
 from pathlib import Path
 
 from . import serialization as ser
-from .counterexample import (
-    CUT_JUSTIFICATION,
-    BudgetExhausted,
-    make_instance,
-    pinwheel_tiling,
-    proper_split_report,
-)
+from .counterexample import CUT_JUSTIFICATION, make_instance, pinwheel_tiling, proper_split_report
 from .exactcover import (
     DEFAULT_GRID_CAP,
     DEFAULT_NODE_BUDGET,
@@ -198,9 +192,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     inst = make_instance(args.R)
     tiling = pinwheel_tiling(inst)
-    report = proper_split_report(
-        inst.box, inst.bricks, node_budget=_node_budget(args), grid_cap=_grid_cap(args)
-    )
+    report = proper_split_report(inst.box, inst.bricks, grid_cap=_grid_cap(args))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.json").write_text(
@@ -264,16 +256,11 @@ def _add_instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="instance JSON file with 'box' and 'bricks'")
 
 
-def _add_budget_options(p: argparse.ArgumentParser) -> None:
+def _add_grid_cap_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid-cap",
         type=int,
         help=f"max grid cells, or theorem-path tiling placements (default {DEFAULT_GRID_CAP})",
-    )
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        help=f"max search nodes (default {DEFAULT_NODE_BUDGET}; env {ENV_NODE_BUDGET})",
     )
 
 
@@ -296,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="construct an explicit tiling")
     _add_instance_options(p)
-    _add_budget_options(p)
+    _add_grid_cap_option(p)
+    p.add_argument(
+        "--node-budget",
+        type=int,
+        help=f"max search nodes (default {DEFAULT_NODE_BUDGET}; env {ENV_NODE_BUDGET})",
+    )
     p.add_argument("--oracle", action="store_true", help="force the exact-cover search")
     p.add_argument("--emit-matrix", help="also write the sparse cover matrix to this path")
     p.add_argument("--output")
@@ -319,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="emit and check a three-brick no-split instance")
     p.add_argument("--R", type=int, required=True, help="family parameter, an integer >= 4")
     p.add_argument("--output-dir", default=".", help="directory for the emitted files")
-    _add_budget_options(p)
+    _add_grid_cap_option(p)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("render", help="render a 2-d tiling file as SVG")
@@ -336,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridTooLarge, BudgetExhausted) as exc:
+    except GridTooLarge as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:

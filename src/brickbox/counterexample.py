@@ -8,6 +8,11 @@ all brick extents here are integers, any sub-box tiling slices each axis
 into integer segments, so only integer cut positions can work; generically
 the cut candidates are the interior grid-unit multiples.
 
+Each side of a cut is decided exactly, with no search and no budget. A
+proper subset of three types has one or two types: one type tiles a box iff
+it divides every extent, and two types tile a box iff the two-brick split
+theorem finds a cut into two one-type slabs (`theorem.find_split`).
+
 R = 2 and R = 3 are excluded on purpose: brute force finds proper-subset
 splits for them (for R = 3, each 2 x 4 half is filled by the 2 x 2 square
 alone), so they are not members of the family this module certifies.
@@ -23,15 +28,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .exactcover import (
-    DEFAULT_GRID_CAP,
-    DEFAULT_NODE_BUDGET,
-    SAT,
-    TIMEOUT,
-    build_grid,
-    exact_cover_tileable,
-)
+from .exactcover import DEFAULT_GRID_CAP, build_grid
 from .geometry import BoxSpec, Brick, Placement, Tiling
+from .theorem import find_split, one_brick_tileable
 
 CUT_JUSTIFICATION = (
     "cut positions are enumerated at interior grid-unit multiples; with "
@@ -40,6 +39,7 @@ CUT_JUSTIFICATION = (
 )
 
 
+# Nothing raises this now; bench/pipelines.py still names it in NO_VERDICT.
 class BudgetExhausted(Exception):
     """A sub-decision hit the solver budget; no verdict was produced."""
 
@@ -81,8 +81,8 @@ class NoSplitReport:
     """Full enumeration of hyperplane cuts against subset pairs.
 
     The verdict `no_split` holds iff no entry has both sides tileable.
-    Every entry is decided; budget exhaustion raises instead of being
-    folded into a verdict.
+    Every entry is decided exactly, by the divisibility test or the
+    two-brick split theorem, with no search budget.
     """
 
     box: BoxSpec
@@ -124,37 +124,32 @@ def pinwheel_tiling(inst: ThreeBrickInstance) -> Tiling:
 
 
 def proper_split_report(
-    box: BoxSpec,
-    bricks: tuple[Brick, ...],
-    grid_cap: int = DEFAULT_GRID_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    box: BoxSpec, bricks: tuple[Brick, ...], grid_cap: int = DEFAULT_GRID_CAP
 ) -> NoSplitReport:
     """Decide every (axis, cut, subset-pair) combination for the given box.
 
     The pairs are all ordered pairs of nonempty proper subsets of the brick
-    types, ordered by size then lexicographically. Each side is decided by
-    the exact-cover oracle; a timeout on any side raises BudgetExhausted
-    rather than skewing the verdict.
+    types, ordered by size then lexicographically. With at most three types
+    each side has one or two, so it is decided exactly: one type by the
+    divisibility test, two by the two-brick split theorem. Raises
+    ValueError for more than three types, and GridTooLarge when the box's
+    grid has more than `grid_cap` cells.
     """
     bricks = tuple(bricks)
     n = len(bricks)
+    if n > 3:
+        raise ValueError(f"the split report takes at most three brick types, not {n}")
     subsets = [s for size in range(1, n) for s in combinations(range(n), size)]
     pairs = [(s, t) for s in subsets for t in subsets]
     grid = build_grid(box, bricks, cap=grid_cap)
 
     @cache
     def side_tileable(dims: tuple[Fraction, ...], subset: tuple[int, ...]) -> bool:
-        outcome = exact_cover_tileable(
-            BoxSpec(dims),
-            [bricks[i] for i in subset],
-            grid_cap=grid_cap,
-            node_budget=node_budget,
-        )
-        if outcome.status == TIMEOUT:
-            raise BudgetExhausted(
-                f"node budget exhausted deciding box {dims} with types {subset}"
-            )
-        return outcome.status == SAT
+        side = BoxSpec(dims)
+        if len(subset) == 1:
+            return one_brick_tileable(side, bricks[subset[0]])
+        i, j = subset
+        return find_split(side, bricks[i], bricks[j]) is not None
 
     entries: list[SplitEntry] = []
     for axis in range(box.dim):

@@ -77,9 +77,12 @@ def frac(value: RationalLike) -> Fraction:
 
 
 def _rationals(values: Sequence[RationalLike], name: str) -> tuple[Fraction, ...]:
-    # A string is one rational, never a list of them: "12" is not (1, 2).
+    # A list or tuple only: a set or a dict iterates in an order its caller
+    # never wrote, and a string is one rational, never a list of them.
     if isinstance(values, str):
         raise TypeError(f"{name} must be a sequence of rationals, not a string: {values!r}")
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{name} must be a list or tuple of rationals: {values!r}")
     return tuple(map(frac, values))
 
 
@@ -181,39 +184,6 @@ def volume(shape: Brick | BoxSpec) -> Fraction:
     if not isinstance(shape, _Extents):
         raise TypeError("volume expects a Brick or BoxSpec")
     return math.prod(shape.dims, start=Fraction(1))
-
-
-def interiors_disjoint(p: Placement, q: Placement, bricks: Sequence[Brick]) -> bool:
-    """True iff the open boxes of the two placements do not intersect.
-
-    Two open intervals are disjoint iff one ends at or before the other
-    starts; the boxes are disjoint iff that happens on at least one axis.
-    The test is exact and symmetric in its arguments.
-    """
-    bp = bricks[p.brick_index]
-    bq = bricks[q.brick_index]
-    if len(p.offset) != len(q.offset):
-        raise ValueError("placements have different dimensions")
-    for ax in range(len(p.offset)):
-        lo = max(p.offset[ax], q.offset[ax])
-        hi = min(p.offset[ax] + bp.dims[ax], q.offset[ax] + bq.dims[ax])
-        if lo >= hi:
-            return True
-    return False
-
-
-def rational_gcd(x: RationalLike, y: RationalLike) -> Fraction:
-    """Largest rational g such that x/g and y/g are both integers.
-
-    For x = p/q and y = r/s in lowest terms this is gcd(p*s, r*q) / (q*s).
-    """
-    xf, yf = frac(x), frac(y)
-    if xf <= 0 or yf <= 0:
-        raise ValueError("rational_gcd requires strictly positive arguments")
-    return Fraction(
-        math.gcd(xf.numerator * yf.denominator, yf.numerator * xf.denominator),
-        xf.denominator * yf.denominator,
-    )
 
 
 def _common_denominator(

@@ -98,21 +98,10 @@ class KeyObservationWitness:
     point: tuple[Fraction, ...]
 
 
-def box_transform(dims: Sequence, xi: Frequency) -> float:
-    """Transform of the centered box with the given extents, at frequency xi.
-
-    Real-valued by symmetry. At xi = 0 this is the volume; it vanishes
-    exactly when some coordinate xi_j is a nonzero integer multiple of
-    1/c_j. Evaluated in double precision, as one row of the batch formula
-    `residual_sample` uses.
-    """
-    cs = tuple(frac(c) for c in dims)
-    if len(cs) != len(xi):
-        raise ValueError("dims and frequency have different lengths")
-    return float(_box_transform_batch(cs, np.array([[float(x) for x in xi]]))[0])
-
-
 def _box_transform_batch(dims: Sequence[Fraction], pts: np.ndarray) -> np.ndarray:
+    # The real transform of the centered box with extents `dims` at each row
+    # of `pts`: its volume at 0, and 0 where some xi_j is a nonzero multiple
+    # of 1/c_j.
     out = np.ones(pts.shape[0])
     for ax, c in enumerate(dims):
         cf = float(c)

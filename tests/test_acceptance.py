@@ -14,7 +14,6 @@ import pytest
 from brickbox import (
     BoxSpec,
     Brick,
-    box_transform,
     build_grid,
     certificate_to_tiling,
     decide_two_brick,
@@ -29,6 +28,7 @@ from brickbox import (
     residual_sample,
     verify_tiling_geometric,
 )
+from references import box_transform
 
 INSTANCE_SEED = 20240917
 BOX_SIDES = [F(1), F(3, 2), F(2)]

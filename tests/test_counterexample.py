@@ -1,12 +1,16 @@
 """Three-brick family: pinwheel, exhaustive no-split search, lifting."""
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from brickbox import (
     BoxSpec,
     Brick,
+    build_grid,
+    counterexample,
     exact_cover_tileable,
     lift_to_dimension,
     make_instance,
@@ -17,7 +21,40 @@ from brickbox import (
     verify_tiling_geometric,
     volume,
 )
-from brickbox.counterexample import BudgetExhausted, ThreeBrickInstance
+from brickbox.counterexample import SplitEntry, ThreeBrickInstance
+
+
+def oracle_split_entries(box, bricks):
+    """The split report with every side decided by the exact-cover search.
+
+    Same cuts (interior multiples of the box grid's unit) and same entry
+    order as `proper_split_report`; the search must reach a verdict on
+    every side.
+    """
+    n = len(bricks)
+    subsets = [s for size in range(1, n) for s in combinations(range(n), size)]
+    grid = build_grid(box, bricks)
+    decided = {}
+
+    def side_tileable(dims, subset):
+        if (dims, subset) not in decided:
+            outcome = exact_cover_tileable(BoxSpec(dims), [bricks[i] for i in subset])
+            assert outcome.status in ("sat", "unsat"), (dims, subset, outcome.status)
+            decided[dims, subset] = outcome.status == "sat"
+        return decided[dims, subset]
+
+    entries = []
+    for axis, L in enumerate(box.dims):
+        for k in range(1, grid.cells[axis]):
+            alpha = k * grid.unit[axis]
+            left = box.dims[:axis] + (alpha,) + box.dims[axis + 1:]
+            right = box.dims[:axis] + (L - alpha,) + box.dims[axis + 1:]
+            entries += [
+                SplitEntry(axis, alpha, s, t, side_tileable(left, s), side_tileable(right, t))
+                for s in subsets
+                for t in subsets
+            ]
+    return tuple(entries)
 
 
 def test_make_instance_members():
@@ -102,10 +139,52 @@ def test_splitter_inversion_finds_two_brick_cut():
     assert (found.axis, found.alpha) == (0, F(1, 2))
 
 
-def test_splitter_raises_on_budget_exhaustion():
+def _family_member(R, scale=1, d=2):
+    tiling = pinwheel_tiling(ThreeBrickInstance(R))
+    if d > 2:
+        tiling = lift_to_dimension(tiling, d)
+    box = BoxSpec(tuple(scale * v for v in tiling.box.dims))
+    return box, tuple(Brick(tuple(scale * v for v in b.dims)) for b in tiling.bricks)
+
+
+@pytest.mark.parametrize(
+    "box, bricks",
+    [_family_member(R) for R in range(3, 41)]
+    + [_family_member(R, d=3) for R in range(3, 9)]
+    + [
+        (BoxSpec((1, 1)), (Brick((F(1, 4), F(1, 2))), Brick((F(1, 2), F(1, 2))))),
+        _family_member(5, scale=F(2, 3)),
+    ],
+    ids=[f"R{R}" for R in range(3, 41)]
+    + [f"R{R}-d3" for R in range(3, 9)]
+    + ["two-types", "R5-scaled-2/3"],
+)
+def test_report_matches_the_exact_cover_oracle(box, bricks):
+    # The split theorem decides each side; the search must agree entry for entry.
+    assert proper_split_report(box, bricks).entries == oracle_split_entries(box, bricks)
+
+
+def test_each_side_is_decided_once(monkeypatch):
+    calls = Counter()
+    for name in ("one_brick_tileable", "find_split"):
+
+        def counted(side, *bricks, decide=getattr(counterexample, name)):
+            calls[side.dims, tuple(b.dims for b in bricks)] += 1
+            return decide(side, *bricks)
+
+        monkeypatch.setattr(counterexample, name, counted)
     inst = make_instance(4)
-    with pytest.raises(BudgetExhausted):
-        proper_split_report(inst.box, inst.bricks, node_budget=1)
+    report = proper_split_report(inst.box, inst.bricks)
+    # 2 * 288 side lookups, over 8 distinct side boxes x 6 subsets
+    assert 2 * len(report.entries) == 576
+    assert len(calls) == 48
+    assert set(calls.values()) == {1}
+
+
+def test_report_rejects_more_than_three_types():
+    bricks = (Brick((1, 1)), Brick((1, 2)), Brick((2, 1)), Brick((2, 2)))
+    with pytest.raises(ValueError, match="at most three brick types"):
+        proper_split_report(BoxSpec((2, 2)), bricks)
 
 
 def test_removing_the_square_makes_the_box_untileable():

@@ -20,11 +20,11 @@ from brickbox import (
     cover_matrix_text,
     exact_cover_tileable,
     one_brick_tileable,
-    rational_gcd,
     rows_to_tiling,
     solve_exact_cover,
     verify_tiling_geometric,
 )
+from references import rational_gcd
 
 # ---------------------------------------------------------------------------
 # Grids

@@ -23,12 +23,11 @@ from brickbox import (
     certificate_to_tiling,
     decide_two_brick,
     frac,
-    interiors_disjoint,
-    rational_gcd,
     verify_tiling_geometric,
     volume,
 )
 from brickbox.serialization import parse_rational
+from references import interiors_disjoint, rational_gcd
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -181,6 +180,19 @@ def test_a_string_is_one_rational_never_an_extent_list(text):
             build(text)
     assert Brick((text,)).dims == BoxSpec((text,)).dims == (frac(text),)
     assert Placement(0, (text,)).offset == (frac(text),)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [lambda: {3, 1}, lambda: {3: 0, 1: 0}, lambda: (v for v in (3, 1))],
+    ids=["set", "dict", "generator"],
+)
+def test_extent_lists_must_be_ordered(values):
+    # {3, 1} iterates as 1, 3; only a list or tuple is an extent list.
+    for build in (Brick, BoxSpec, lambda s: Placement(0, s)):
+        with pytest.raises(TypeError, match="must be a list or tuple of rationals"):
+            build(values())
+    assert Brick([3, 1]).dims == BoxSpec((3, 1)).dims == Placement(0, [3, 1]).offset == (3, 1)
 
 
 @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=range(len(RATIONAL_STRINGS)))

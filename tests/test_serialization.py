@@ -21,12 +21,12 @@ from brickbox import (
     make_instance,
     pinwheel_tiling,
     proper_split_report,
-    rational_gcd,
     tiling_to_svg,
 )
 from brickbox import serialization as ser
 from brickbox.cli import main
 from brickbox.render import PALETTE
+from references import rational_gcd
 
 
 def test_rational_formatting_is_canonical():

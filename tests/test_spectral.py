@@ -16,22 +16,20 @@ from brickbox import (
     GridTooLarge,
     Placement,
     Tiling,
-    box_transform,
     certificate_to_tiling,
     decide_two_brick,
     frac,
     in_zero_set_Z,
-    interiors_disjoint,
     key_observation_holds,
     key_observation_witness,
     make_instance,
     pinwheel_tiling,
     random_frequencies,
-    rational_gcd,
     residual_sample,
     volume,
 )
 from brickbox.spectral import SpectralReport, _box_transform_batch
+from references import box_transform, interiors_disjoint, rational_gcd
 
 # ---------------------------------------------------------------------------
 # Independent oracles
