@@ -60,6 +60,7 @@ from .theorem import (
     find_split,
     key_observation_holds,
     one_brick_tileable,
+    one_brick_tiling,
     solve_axis_combination,
     validate_certificate,
 )

@@ -4,7 +4,10 @@ Subcommands: decide, split, tile, verify, spectral, counterexample, render.
 Exit codes: 0 success, 1 negative answer (UNSAT / no certificate / failed
 verification, with a JSON body; a counterexample whose check finds a
 split), 2 invalid input, 3 budget exhaustion.
-The node budget of `tile`'s search can also be set via BRICKBOX_NODE_BUDGET.
+Input files are JSON (see docs/formats.md); one that does not parse, or
+nests too deeply to parse, is invalid input. Every output goes to the
+--output path when one is given, else to stdout. `tile`'s node budget and
+the grid cap are set by --node-budget and --grid-cap alone.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from .counterexample import CUT_JUSTIFICATION, make_instance, pinwheel_tiling, p
 from .exactcover import (
     DEFAULT_GRID_CAP,
     DEFAULT_NODE_BUDGET,
-    SAT,
     TIMEOUT,
     GridTooLarge,
     build_cover_problem,
@@ -32,20 +33,12 @@ from .exactcover import (
 from .geometry import BoxSpec, Brick, Tiling, verify_tiling_geometric
 from .render import tiling_to_svg
 from .spectral import random_frequencies, residual_sample
-from .theorem import (
-    _slab_placements,
-    certificate_to_tiling,
-    decide_two_brick,
-    find_split,
-    one_brick_tileable,
-)
+from .theorem import certificate_to_tiling, decide_two_brick, find_split, one_brick_tiling
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-ENV_NODE_BUDGET = "BRICKBOX_NODE_BUDGET"
 
 #: Most `spectral --samples`; a sample costs about 200 bytes while it is checked.
 SAMPLE_CAP = 10**6
@@ -57,27 +50,27 @@ def _positive(value: int, source: str) -> int:
     return value
 
 
-def _node_budget(args: argparse.Namespace) -> int:
-    if args.node_budget is not None:
-        return _positive(args.node_budget, "--node-budget")
-    env = os.environ.get(ENV_NODE_BUDGET)
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_NODE_BUDGET} must be an integer: {env!r}") from exc
-        return _positive(budget, ENV_NODE_BUDGET)
-    return DEFAULT_NODE_BUDGET
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {path}") from exc
 
 
-def _grid_cap(args: argparse.Namespace) -> int:
-    cap = args.grid_cap
-    return _positive(cap, "--grid-cap") if cap is not None else DEFAULT_GRID_CAP
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(path: str | Path | None, text: str) -> None:
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
     if args.input:
-        obj = json.loads(Path(args.input).read_text())
+        obj = _read_json(args.input)
         if not isinstance(obj, dict) or "box" not in obj or "bricks" not in obj:
             raise ValueError("instance file needs 'box' and 'bricks'")
         if not isinstance(obj["bricks"], list):
@@ -93,15 +86,11 @@ def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
 
 
 def _load_tiling(args: argparse.Namespace) -> Tiling:
-    return ser.tiling_from_obj(json.loads(Path(args.input).read_text()))
+    return ser.tiling_from_obj(_read_json(args.input))
 
 
 def _emit(args: argparse.Namespace, payload) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, _json(payload))
 
 
 def _require_two(bricks: list[Brick]) -> tuple[Brick, Brick]:
@@ -133,36 +122,29 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_tile(args: argparse.Namespace) -> int:
     box, bricks = _load_instance(args)
-    grid_cap, node_budget = _grid_cap(args), _node_budget(args)
-    use_oracle = args.oracle or len(bricks) >= 3
+    grid_cap = _positive(args.grid_cap, "--grid-cap")
+    node_budget = _positive(args.node_budget, "--node-budget")
     if args.emit_matrix:
         grid = build_grid(box, bricks, cap=grid_cap)
-        Path(args.emit_matrix).write_text(cover_matrix_text(build_cover_problem(grid)))
-    if use_oracle:
+        _write(args.emit_matrix, cover_matrix_text(build_cover_problem(grid)))
+    if args.oracle or len(bricks) >= 3:
         outcome = exact_cover_tileable(box, bricks, grid_cap=grid_cap, node_budget=node_budget)
         if outcome.status == TIMEOUT:
             _emit(args, {"status": "timeout", "nodes": outcome.nodes})
             return EXIT_BUDGET
-        if outcome.status != SAT:
-            _emit(args, {"status": "unsat"})
+        tiling = outcome.tiling  # None unless SAT
+    elif len(bricks) == 1:
+        tiling = one_brick_tiling(box, bricks[0], cap=grid_cap)
+    else:
+        a, b = bricks
+        outcome = decide_two_brick(box, a, b)
+        if not outcome.tileable:
+            _emit(args, {"status": "unsat", "decision": ser.decision_to_obj(outcome)})
             return EXIT_NEGATIVE
-        _emit(args, ser.tiling_to_obj(outcome.tiling))
-        return EXIT_OK
-    if len(bricks) == 1:
-        brick = bricks[0]
-        if not one_brick_tileable(box, brick):
-            _emit(args, {"status": "unsat"})
-            return EXIT_NEGATIVE
-        layers = int(box.dims[0] / brick.dims[0])
-        placements = _slab_placements(box, 0, [(brick, layers)], grid_cap)
-        _emit(args, ser.tiling_to_obj(Tiling(bricks=(brick,), placements=placements, box=box)))
-        return EXIT_OK
-    a, b = bricks
-    outcome = decide_two_brick(box, a, b)
-    if not outcome.tileable:
-        _emit(args, {"status": "unsat", "decision": ser.decision_to_obj(outcome)})
+        tiling = certificate_to_tiling(outcome.certificate, box, a, b, cap=grid_cap)
+    if tiling is None:
+        _emit(args, {"status": "unsat"})
         return EXIT_NEGATIVE
-    tiling = certificate_to_tiling(outcome.certificate, box, a, b, cap=grid_cap)
     _emit(args, ser.tiling_to_obj(tiling))
     return EXIT_OK
 
@@ -192,19 +174,14 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     inst = make_instance(args.R)
     tiling = pinwheel_tiling(inst)
-    report = proper_split_report(inst.box, inst.bricks, grid_cap=_grid_cap(args))
+    grid_cap = _positive(args.grid_cap, "--grid-cap")
+    report = proper_split_report(inst.box, inst.bricks, grid_cap=grid_cap)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "instance.json").write_text(
-        json.dumps(ser.instance_to_obj(inst), indent=2) + "\n"
-    )
-    (outdir / "tiling.json").write_text(
-        json.dumps(ser.tiling_to_obj(tiling), indent=2) + "\n"
-    )
-    (outdir / "tiling.svg").write_text(tiling_to_svg(tiling))
-    (outdir / "nosplit.json").write_text(
-        json.dumps(ser.nosplit_report_to_obj(report), indent=2) + "\n"
-    )
+    _write(outdir / "instance.json", _json(ser.instance_to_obj(inst)))
+    _write(outdir / "tiling.json", _json(ser.tiling_to_obj(tiling)))
+    _write(outdir / "tiling.svg", tiling_to_svg(tiling))
+    _write(outdir / "nosplit.json", _json(ser.nosplit_report_to_obj(report)))
     _print_nosplit_summary(inst, report)
     return EXIT_OK if report.no_split else EXIT_NEGATIVE
 
@@ -231,12 +208,7 @@ def _print_nosplit_summary(inst, report) -> None:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    tiling = _load_tiling(args)
-    svg = tiling_to_svg(tiling, scale=args.scale)
-    if args.output:
-        Path(args.output).write_text(svg)
-    else:
-        sys.stdout.write(svg)
+    _write(args.output, tiling_to_svg(_load_tiling(args), scale=args.scale))
     return EXIT_OK
 
 
@@ -260,7 +232,8 @@ def _add_grid_cap_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid-cap",
         type=int,
-        help=f"max grid cells, or theorem-path tiling placements (default {DEFAULT_GRID_CAP})",
+        default=DEFAULT_GRID_CAP,
+        help="max grid cells, or theorem-path tiling placements (default %(default)s)",
     )
 
 
@@ -287,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget",
         type=int,
-        help=f"max search nodes (default {DEFAULT_NODE_BUDGET}; env {ENV_NODE_BUDGET})",
+        default=DEFAULT_NODE_BUDGET,
+        help="max search nodes (default %(default)s)",
     )
     p.add_argument("--oracle", action="store_true", help="force the exact-cover search")
     p.add_argument("--emit-matrix", help="also write the sparse cover matrix to this path")
@@ -331,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except GridTooLarge as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

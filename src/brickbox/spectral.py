@@ -179,6 +179,8 @@ def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return total
 
 
+# Overflow shows as a non-finite residual, which raises, not as a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def residual_sample(
     t: Tiling, points: Sequence[Frequency], seed: int | None = None
 ) -> SpectralReport:
@@ -192,13 +194,17 @@ def residual_sample(
     blocks of placements (see the module docstring), so working memory does
     not grow with points times placements. Raises GridTooLarge when the
     tiling's offsets are too fine for its integer frame, as
-    `verify_tiling_geometric` does.
+    `verify_tiling_geometric` does, and ValueError when a sample point or
+    a residual is not finite (frequencies too large for the box overflow
+    its transforms), so no report ever holds NaN.
     """
     if not points:
         raise ValueError("need at least one sample point")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != t.box.dim:
         raise ValueError("sample points and box have different dimensions")
+    if not np.isfinite(pts).all():
+        raise ValueError("sample points must be finite")
     box_volume = math.prod(float(length) for length in t.box.dims)
     if box_volume == 0.0:
         raise ValueError("box volume below double range")
@@ -222,6 +228,8 @@ def residual_sample(
         )
         total += _phase_sum(pts, centers) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
+    if not np.isfinite(resid).all():
+        raise ValueError("sample frequencies too large for the box: a residual is not finite")
     peak = int(np.argmax(resid))
     return SpectralReport(
         samples=len(points),

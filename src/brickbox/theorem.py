@@ -229,6 +229,18 @@ def _slab_placements(
     return placements
 
 
+def one_brick_tiling(box: BoxSpec, brick: Brick, cap: float = math.inf) -> Tiling | None:
+    """The row-major grid of the brick that fills the box, or None.
+
+    None when some L_j/a_j is not an integer. Over `cap` placements it
+    raises GridTooLarge before building any, as `certificate_to_tiling` does.
+    """
+    if not one_brick_tileable(box, brick):
+        return None
+    placements = _slab_placements(box, 0, [(brick, box.dims[0] // brick.dims[0])], cap)
+    return Tiling(bricks=(brick,), placements=placements, box=box)
+
+
 def certificate_to_tiling(
     cert: SplitCertificate, box: BoxSpec, a: Brick, b: Brick, cap: float = math.inf
 ) -> Tiling:

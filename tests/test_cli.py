@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from brickbox import ThreeBrickInstance, cli, geometry
+from brickbox import ThreeBrickInstance, cli, geometry, make_instance, pinwheel_tiling
 from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
 
@@ -188,9 +188,10 @@ def _half_covered_unit_box(tmp_path):
 
 def test_spectral_bound_must_be_finite_and_positive(capsys, tmp_path):
     # An infinite or NaN bound makes every residual NaN, which passes any
-    # tolerance; bound 0 samples only the origin, which checks volume alone.
+    # tolerance, and so does 1.7e308, whose interval is wider than any double;
+    # bound 0 samples only the origin, which checks volume alone.
     half = _half_covered_unit_box(tmp_path)
-    for bound in ("inf", "nan", "0", "-1"):
+    for bound in ("inf", "nan", "0", "-1", "1.7e308"):
         code, out, err = run(capsys, "spectral", "--input", half, "--bound", bound,
                              "--tolerance", "1e-9")
         assert (code, out) == (2, "")
@@ -302,7 +303,7 @@ def test_tile_oracle_prefilters_run_before_the_grid_cap(capsys):
     assert err.startswith("budget exhausted: grid needs 1004004 cells, cap is 1000000")
 
 
-def test_budgets_below_one_exit_two(capsys, monkeypatch, tmp_path):
+def test_budgets_below_one_exit_two(capsys, tmp_path):
     unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
     code, out, err = run(capsys, *unsat, "--grid-cap", "-1")
     assert (code, out) == (2, "")
@@ -310,16 +311,11 @@ def test_budgets_below_one_exit_two(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, *unsat, "--node-budget", "-5")
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: --node-budget must be at least 1")
-    monkeypatch.setenv("BRICKBOX_NODE_BUDGET", "-5")
-    code, out, err = run(capsys, *unsat)
-    assert (code, out) == (2, "")
-    assert err.startswith("invalid input: BRICKBOX_NODE_BUDGET must be at least 1")
     # the theorem path rejects a bad budget too, though it never spends one
     code, _, _ = run(capsys, "tile", "--box", "1,1", "--brick", "1,1", "--brick", "1,1",
                      "--node-budget", "0")
     assert code == 2
     # a budget of 1 is valid: the search spends it and reports a timeout
-    monkeypatch.delenv("BRICKBOX_NODE_BUDGET")
     code, out, _ = run(capsys, *unsat, "--node-budget", "1")
     assert code == 3
     assert json.loads(out)["status"] == "timeout"
@@ -329,20 +325,6 @@ def test_budgets_below_one_exit_two(capsys, monkeypatch, tmp_path):
                            str(tmp_path / cap), "--grid-cap", cap)
         assert (code, out) == (expected, "")
         assert not (tmp_path / cap).exists()
-
-
-def test_node_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRICKBOX_NODE_BUDGET", "2")
-    code, out, _ = run(
-        capsys, "tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"
-    )
-    assert code == 3
-    assert json.loads(out)["status"] == "timeout"
-    monkeypatch.setenv("BRICKBOX_NODE_BUDGET", "not-a-number")
-    code, _, err = run(
-        capsys, "tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"
-    )
-    assert code == 2
 
 
 def test_counterexample_emits_artifacts(tmp_path, capsys):
@@ -482,3 +464,34 @@ def test_malformed_input_files_exit_two(case, tmp_path, capsys):
         path.write_text(json.dumps(obj))
         argv += ["--input", str(path)]
     assert run(capsys, *argv) == (2, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["decide", "split", "tile", "verify", "spectral", "render"])
+def test_nested_json_is_invalid_input(command, tmp_path, capsys):
+    # Nesting deeper than the JSON parser recurses is refused, not a crash.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert run(capsys, command, "--input", str(path)) == (
+        2, "", f"invalid input: JSON nested too deeply: {path}\n")
+
+
+WRITERS = {
+    "decide": ["decide", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5"],
+    "split": ["split", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "3/5,1/2"],
+    "tile": ["tile", "--box", "1,1", "--brick", "1/4,1/2", "--brick", "1/2,1/2"],
+    "tile --oracle": ["tile", "--box", "2,2", "--brick", "1,2", "--brick", "2,1", "--oracle"],
+    "verify": ["verify", "--input", "{tiling}"],
+    "spectral": ["spectral", "--input", "{tiling}", "--samples", "20"],
+    "render": ["render", "--input", "{tiling}"],
+}
+
+
+@pytest.mark.parametrize("case", WRITERS)
+def test_output_file_holds_the_stdout_bytes(case, tmp_path, capsys):
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(json.dumps(tiling_to_obj(pinwheel_tiling(make_instance(4)))))
+    argv = [arg.format(tiling=tiling) for arg in WRITERS[case]]
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()

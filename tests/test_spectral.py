@@ -23,6 +23,7 @@ from brickbox import (
     key_observation_holds,
     key_observation_witness,
     make_instance,
+    one_brick_tiling,
     pinwheel_tiling,
     random_frequencies,
     residual_sample,
@@ -247,6 +248,22 @@ def test_residual_sample_input_validation():
         )
         with pytest.raises(ValueError, match=message):
             residual_sample(half_empty, [(0.0, 0.0)])
+
+
+def test_residual_sample_refuses_values_that_are_not_finite():
+    # Frequencies near 1e300 overflow the transforms of a box 10**10 long, and
+    # bound 1.7e308 draws infinite points, since its interval is wider than
+    # any double. Neither may yield a NaN report (which passes any tolerance)
+    # or a numpy warning.
+    wide = one_brick_tiling(BoxSpec((10**10, 1)), Brick((5 * 10**9, 1)))
+    with pytest.raises(ValueError, match="a residual is not finite"):
+        residual_sample(wide, random_frequencies(2, 1000, 0, 1e300))
+    with pytest.raises(ValueError, match="sample points must be finite"):
+        residual_sample(wide, random_frequencies(2, 3, 0, 1.7e308))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample points must be finite"):
+            residual_sample(wide, [(0.0, bad)])
+    assert residual_sample(wide, [(0.0, 0.0)]).max_abs_residual == 0.0
 
 
 def test_residual_sample_shares_the_verifier_frame_cap():

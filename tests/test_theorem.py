@@ -1,5 +1,6 @@
 """Split certificates: decision, search order, and tiling construction."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -25,10 +26,14 @@ from brickbox import (
     key_observation_holds,
     key_observation_witness,
     one_brick_tileable,
+    one_brick_tiling,
     solve_axis_combination,
     validate_certificate,
     verify_tiling_geometric,
 )
+from brickbox import theorem
+from brickbox.cli import main
+from brickbox.serialization import tiling_to_obj
 from brickbox.theorem import _slab_placements
 
 # ---------------------------------------------------------------------------
@@ -68,6 +73,22 @@ def test_one_brick_examples():
     assert one_brick_tileable(BoxSpec((1, 1)), Brick((F(1, 2), F(1, 3)))) is True
     assert one_brick_tileable(BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2)))) is False
     assert one_brick_tileable(BoxSpec((5, 5)), Brick((3, 3))) is False
+
+
+def test_one_brick_tiling_is_the_cli_grid(capsys, monkeypatch):
+    assert one_brick_tiling(BoxSpec((1, 1)), Brick((F(2, 5), F(1, 2)))) is None
+    box, brick = BoxSpec((1, F(3, 2), 1)), Brick((F(1, 2),) * 3)
+    t = one_brick_tiling(box, brick, cap=12)
+    assert verify_tiling_geometric(t).ok
+    assert main(["tile", "--box", "1,3/2,1", "--brick", "1/2,1/2,1/2"]) == 0
+    assert json.loads(capsys.readouterr().out) == tiling_to_obj(t)
+
+    def no_placement(*args):
+        raise AssertionError("placement built over the cap")
+
+    monkeypatch.setattr(theorem, "Placement", no_placement)
+    with pytest.raises(GridTooLarge, match="tiling needs 12 placements, cap is 11"):
+        one_brick_tiling(box, brick, cap=11)
 
 
 def test_one_brick_dimension_mismatch():
