@@ -36,6 +36,7 @@ from .geometry import (
     BoxSpec,
     Brick,
     Placement,
+    Placements,
     Tiling,
     VerifyOutcome,
     frac,

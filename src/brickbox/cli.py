@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import serialization as ser
@@ -61,11 +62,13 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(path: str | Path | None, text: str) -> None:
+def _write(path: str | Path | None, text: str | Iterable[str]) -> None:
+    pieces = [text] if isinstance(text, str) else text
     if path:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
@@ -145,7 +148,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if tiling is None:
         _emit(args, {"status": "unsat"})
         return EXIT_NEGATIVE
-    _emit(args, ser.tiling_to_obj(tiling))
+    _write(args.output, ser.tiling_to_json(tiling))
     return EXIT_OK
 
 
@@ -179,7 +182,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write(outdir / "instance.json", _json(ser.instance_to_obj(inst)))
-    _write(outdir / "tiling.json", _json(ser.tiling_to_obj(tiling)))
+    _write(outdir / "tiling.json", ser.tiling_to_json(tiling))
     _write(outdir / "tiling.svg", tiling_to_svg(tiling))
     _write(outdir / "nosplit.json", _json(ser.nosplit_report_to_obj(report)))
     _print_nosplit_summary(inst, report)

@@ -28,8 +28,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+import numpy as np
+
 from .exactcover import DEFAULT_GRID_CAP, build_grid
-from .geometry import BoxSpec, Brick, Placement, Tiling
+from .geometry import BoxSpec, Brick, Placements, Tiling
 from .theorem import find_split, one_brick_tileable
 
 CUT_JUSTIFICATION = (
@@ -113,13 +115,9 @@ def make_instance(R: int) -> ThreeBrickInstance:
 def pinwheel_tiling(inst: ThreeBrickInstance) -> Tiling:
     """The five-piece pinwheel: central square with four strips around it."""
     R = inst.R
-    placements = (
-        Placement(2, (1, 1)),  # central square
-        Placement(1, (0, 0)),  # bottom strip
-        Placement(0, (R, 0)),  # right strip
-        Placement(1, (1, R)),  # top strip
-        Placement(0, (0, 1)),  # left strip
-    )
+    # The central square, then the bottom, right, top and left strips.
+    kinds, xs, ys = (2, 1, 0, 1, 0), (1, 0, R, 1, 0), (1, 0, 0, R, 1)
+    placements = Placements(kinds, [(xs, range(5)), (ys, range(5))])
     return Tiling(bricks=inst.bricks, placements=placements, box=inst.box)
 
 
@@ -187,9 +185,9 @@ def lift_to_dimension(t: Tiling, d: int) -> Tiling:
     if d <= 2:
         raise ValueError("target dimension must exceed 2")
     ones = (Fraction(1),) * (d - 2)
-    zeros = (Fraction(0),) * (d - 2)
+    zeros = [((0,), np.zeros(len(t.placements), dtype=np.intp))] * (d - 2)
     return Tiling(
         bricks=tuple(Brick(b.dims + ones) for b in t.bricks),
-        placements=tuple(Placement(p.brick_index, p.offset + zeros) for p in t.placements),
+        placements=Placements(t.placements.kinds, [*t.placements.axes, *zeros]),
         box=BoxSpec(t.box.dims + ones),
     )

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, _common_denominator
+from .geometry import BoxSpec, Brick, GridTooLarge, Placements, Tiling, _common_denominator
 
 DEFAULT_GRID_CAP = 10**6
 DEFAULT_NODE_BUDGET = 10**7
@@ -330,14 +330,14 @@ def rows_to_tiling(
     box: BoxSpec, bricks: Sequence[Brick], problem: CoverProblem, row_ids: Sequence[int]
 ) -> Tiling:
     """Map selected cover rows back to exact rational placements."""
-    unit = problem.grid.unit
-    placements = tuple(
-        Placement(
-            problem.rows[rid].brick,
-            tuple(o * u for o, u in zip(problem.rows[rid].offset, unit)),
-        )
-        for rid in row_ids
-    )
+    rows = [problem.rows[rid] for rid in row_ids]
+    axes = []
+    for ax, unit in enumerate(problem.grid.unit):
+        column = [row.offset[ax] for row in rows]
+        cells = sorted(set(column))
+        at = {c: k for k, c in enumerate(cells)}
+        axes.append(([c * unit for c in cells], [at[c] for c in column]))
+    placements = Placements._canonical([row.brick for row in rows], axes)
     return Tiling(bricks=tuple(bricks), placements=placements, box=box)
 
 

@@ -1,10 +1,17 @@
 """Exact rational bricks, boxes, placements, and geometric tiling verification.
 
-Every length in this module is a `fractions.Fraction`; all tests are exact
-(no floating point, no tolerances). Boxes and bricks are axis-aligned and
+Every length a caller passes in or reads back is a `fractions.Fraction`
+(or an int or "p/q" string on the way in); all tests are exact (no floating
+point, no tolerances). Boxes and bricks are axis-aligned and
 origin-anchored: a box spans [0, L_1] x ... x [0, L_d] and a placement
 positions a brick by its lowest corner. Bricks are used under translation
 only, never rotated.
+
+A `Tiling` holds its placements as columns, a `Placements` view: a
+brick-index column and, per axis, the sorted distinct offsets, each stored
+once as a Fraction, with an index column into them. Construction checks
+bounds once per brick type and axis, and readers work from the columns; a
+`Placement` is built only when a caller reads one.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
@@ -12,10 +19,11 @@ optionally "/" and ASCII digits not all zero ("3", "-3/4", "+6/08"). Decimal
 points, exponents, underscores, other digits and signed denominators are
 rejected; Fraction would spend seconds expanding "1e10000000".
 
-On each axis, `_integer_frame` writes every length of a tiling as an int in
-units of 1/D, for D the least common denominator of the lengths there. The
-verifier compares boundaries and volumes as these ints, exact at any size;
-the oracle's grid and the SVG writer read the same lattice.
+On each axis, `_integer_frame` writes the box and brick extents and the
+distinct offsets of a tiling as ints in units of 1/D, for D the least
+common denominator of those lengths there. The verifier compares boundaries
+and volumes as these ints, exact at any size; the oracle's grid and the SVG
+writer read the same lattice.
 
 All types are immutable values; all functions are pure and safe to call
 concurrently.
@@ -25,10 +33,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import product
+from typing import Union
 
 import numpy as np
 
@@ -128,36 +138,270 @@ class Placement:
         object.__setattr__(self, "offset", _rationals(self.offset, "offset"))
 
 
-@dataclass(frozen=True)
+class Placements(Sequence):
+    """The placements of a `Tiling`, in order, held as columns.
+
+    `kinds` holds each placement's brick index. `axes` holds, per axis, the
+    sorted distinct offsets there, each stored once, and each placement's
+    index into them; all are read-only. `len` is O(1), and a `Placement` is
+    built only when one is read. A view equals the tuple of the same
+    placements, and slices and `+` give tuples, so it reads like one.
+
+    The constructor takes `kinds` and, per axis, a pair (values, index):
+    placement k sits at values[index[k]] on that axis. The values may come
+    in any order, repeat or go unused; they are brought to the sorted
+    distinct form, so equal placements give equal columns.
+    """
+
+    __slots__ = ("kinds", "axes")
+
+    def __init__(
+        self,
+        kinds: Sequence[int],
+        axes: Sequence[tuple[Sequence[RationalLike], Sequence[int]]],
+    ) -> None:
+        self.kinds = _read_only(kinds)
+        if len(self.kinds) and self.kinds.min() < 0:
+            raise ValueError("brick indices must be nonnegative")
+        self.axes = tuple(_distinct(_rationals(values, "offsets"), index) for values, index in axes)
+        for _, index in self.axes:
+            if len(index) != len(self.kinds):
+                raise ValueError("every column must have one entry per placement")
+
+    @classmethod
+    def _canonical(
+        cls,
+        kinds: Sequence[int],
+        axes: Sequence[tuple[Sequence[Fraction], Sequence[int]]],
+    ) -> Placements:
+        # Columns already in the sorted distinct form, every value used (as
+        # the slab, oracle and lift builders make them), stored as they are.
+        view = cls.__new__(cls)
+        view.kinds = _read_only(kinds)
+        view.axes = tuple((tuple(values), _read_only(index)) for values, index in axes)
+        return view
+
+    def __reduce__(self):
+        # Unpickled numpy arrays are writable; rebuild them read-only.
+        return type(self)._canonical, (self.kinds, self.axes)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def _rows(self, rows: slice) -> Iterator[Placement]:
+        offsets = zip(*([values[i] for i in index[rows].tolist()] for values, index in self.axes))
+        return map(Placement, self.kinds[rows].tolist(), offsets)
+
+    def __iter__(self) -> Iterator[Placement]:
+        return self._rows(slice(None))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._rows(k))
+        k = range(len(self))[k]
+        return next(self._rows(slice(k, k + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Placements):
+            return (
+                np.array_equal(self.kinds, other.kinds)
+                and len(self.axes) == len(other.axes)
+                and all(
+                    p == q and np.array_equal(i, j)
+                    for (p, i), (q, j) in zip(self.axes, other.axes)
+                )
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other if isinstance(other, (tuple, Placements)) else NotImplemented
+
+    def __radd__(self, other):
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def _key(self) -> tuple:
+        # Hashable, and equal exactly when the views are.
+        return (
+            self.kinds.tobytes(),
+            tuple((values, index.tobytes()) for values, index in self.axes),
+        )
+
+
+def _read_only(values: Sequence[int]) -> np.ndarray:
+    column = np.asarray(values, dtype=np.intp).reshape(-1)
+    column.flags.writeable = False
+    return column
+
+
+def _distinct(
+    values: tuple[Fraction, ...], index: Sequence[int]
+) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    # The sorted distinct values that `index` uses, and the index into them.
+    # (np.bincount refuses a negative index.)
+    index = _read_only(index)
+    used = np.bincount(index, minlength=len(values))
+    if len(used) > len(values):
+        raise ValueError("offset index out of range")
+    rows = np.flatnonzero(used).tolist()
+    # Rounding to a double keeps order (a < b gives float(a) <= float(b)),
+    # so (double, value) keys order exactly, comparing Fractions only
+    # between values that round alike; past the double range all do.
+    try:
+        doubles = [n / q for n, q in map(Fraction.as_integer_ratio, values)]
+    except OverflowError:
+        doubles = [0.0] * len(values)
+    keys = list(zip(doubles, values))
+    order = sorted(rows, key=keys.__getitem__)
+    distinct: list[Fraction] = []
+    remap = [0] * len(values)
+    last = None
+    for i in order:
+        if last is None or keys[i] != keys[last]:
+            distinct.append(values[i])
+        remap[i] = len(distinct) - 1
+        last = i
+    if len(distinct) != len(values) or order != rows:
+        index = np.array(remap, dtype=np.intp)[index]
+        index.flags.writeable = False
+    return tuple(distinct), index
+
+
+def _members(values: Iterable, cls: type, name: str) -> tuple:
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of {cls.__name__}: {values!r}") from None
+    for k, v in enumerate(values):
+        if not isinstance(v, cls):
+            raise TypeError(f"{name}[{k}] must be a {cls.__name__}: {v!r}")
+    return values
+
+
+def _placement_columns(
+    placements: tuple[Placement, ...], d: int, types: int
+) -> tuple[Placements, str | None]:
+    # Columns of the placements before the first one with the wrong number
+    # of coordinates or an unknown brick type, and that one's error. Each
+    # offset object is compared once however many placements share it.
+    bad = next(
+        (k for k, p in enumerate(placements) if len(p.offset) != d or p.brick_index >= types),
+        len(placements),
+    )
+    error = None
+    if bad < len(placements):
+        p = placements[bad]
+        error = (
+            f"placement {bad} has {len(p.offset)} coordinates, box has {d}"
+            if len(p.offset) != d
+            else f"placement {bad} references unknown brick type {p.brick_index}"
+        )
+        placements = placements[:bad]
+    offsets = [p.offset for p in placements]
+    axes = []
+    for ax in range(d):
+        column = [o[ax] for o in offsets]
+        ids = list(map(id, column))
+        first = dict(zip(ids, column))
+        at = {key: k for k, key in enumerate(first)}
+        axes.append((tuple(first.values()), [at[key] for key in ids]))
+    return Placements([p.brick_index for p in placements], axes), error
+
+
+def _fits(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> bool:
+    # Every placement names a brick type and lies inside the box: on each
+    # axis the least offset is at least 0 and, per brick type, the greatest
+    # offset it sits at is at most L - c.
+    if view.kinds.max() >= len(bricks):
+        return False
+    top = np.empty(len(bricks), dtype=np.intp)
+    for ax, (values, index) in enumerate(view.axes):
+        top.fill(-1)
+        np.maximum.at(top, view.kinds, index)
+        if values[0] < 0 or any(
+            values[i] > box.dims[ax] - b.dims[ax] for i, b in zip(top.tolist(), bricks) if i >= 0
+        ):
+            return False
+    return True
+
+
+def _misfit(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> str | None:
+    # The first placement, in order, with an unknown brick type or outside
+    # the box. Brick k fits on an axis at offset o iff 0 <= o <= L - c_k: a
+    # run of that axis's sorted distinct offsets, found once per brick type.
+    kinds = view.kinds
+    if not len(kinds) or _fits(view, bricks, box):
+        return None
+    known = np.minimum(kinds, max(len(bricks) - 1, 0))
+    flags = [kinds >= len(bricks)]
+    for ax, (values, index) in enumerate(view.axes):
+        ends = [bisect_right(values, box.dims[ax] - b.dims[ax]) for b in bricks] or [0]
+        flags.append((index < bisect_left(values, 0)) | (index >= np.array(ends)[known]))
+    flags = np.vstack(flags)
+    k = int(flags.any(axis=0).argmax())
+    if flags[0, k]:
+        return f"placement {k} references unknown brick type {kinds[k]}"
+    return f"placement {k} extends outside the box on axis {int(flags[1:, k].argmax())}"
+
+
+@dataclass(frozen=True, eq=False)
 class Tiling:
     """A set of placements of the given brick types inside a box.
 
-    Construction validates structure only (dimensions agree, indices are in
-    range, every placed brick lies inside the box). Whether the placements
-    actually tile the box is decided by `verify_tiling_geometric`.
+    `placements` may be given as any sequence of `Placement` or as a
+    `Placements` view; it is held as a `Placements` view. Construction
+    validates types (TypeError naming the field) and structure (dimensions
+    agree, indices are in range, every placed brick lies inside the box;
+    ValueError naming the first bad placement). Whether the placements
+    actually tile the box is decided by `verify_tiling_geometric`. Two
+    tilings are equal when their bricks, boxes and placement sequences are.
     """
 
     bricks: tuple[Brick, ...]
-    placements: tuple[Placement, ...]
+    placements: Placements
     box: BoxSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bricks", tuple(self.bricks))
-        object.__setattr__(self, "placements", tuple(self.placements))
+        bricks = _members(self.bricks, Brick, "bricks")
+        if not isinstance(self.box, BoxSpec):
+            raise TypeError(f"box must be a BoxSpec: {self.box!r}")
+        placements, error = self.placements, None
+        if not isinstance(placements, Placements):
+            placements = _members(placements, Placement, "placements")
         d = self.box.dim
-        for k, b in enumerate(self.bricks):
+        for k, b in enumerate(bricks):
             if b.dim != d:
                 raise ValueError(f"brick {k} has dimension {b.dim}, box has {d}")
-        # A brick at offset o fits on an axis iff 0 <= o <= L - c there.
-        rooms = [tuple(L - c for L, c in zip(self.box.dims, b.dims)) for b in self.bricks]
-        for k, p in enumerate(self.placements):
-            if len(p.offset) != d:
-                raise ValueError(f"placement {k} has {len(p.offset)} coordinates, box has {d}")
-            if p.brick_index >= len(self.bricks):
-                raise ValueError(f"placement {k} references unknown brick type {p.brick_index}")
-            for ax, (o, room) in enumerate(zip(p.offset, rooms[p.brick_index])):
-                if o < 0 or o > room:
-                    raise ValueError(f"placement {k} extends outside the box on axis {ax}")
+        if isinstance(placements, tuple):
+            placements, error = _placement_columns(placements, d, len(bricks))
+        elif len(placements.axes) != d:
+            if len(placements):
+                raise ValueError(f"placement 0 has {len(placements.axes)} coordinates, box has {d}")
+            placements = Placements((), [((), ())] * d)
+        error = _misfit(placements, bricks, self.box) or error
+        if error is not None:
+            raise ValueError(error)
+        object.__setattr__(self, "bricks", bricks)
+        object.__setattr__(self, "placements", placements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.box == other.box
+            and self.bricks == other.bricks
+            and self.placements == other.placements
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.bricks, self.box, self.placements._key()))
 
 
 @dataclass(frozen=True)
@@ -207,16 +451,17 @@ def _integer_frame(
     t: Tiling,
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]], list[list[int]]]:
     # Per axis, `_common_denominator` of the box extent, the brick extents
-    # and the offsets there: (D per axis, box extents, each brick's extents,
-    # and per axis every offset), as ints in units of 1/D. A tiling's offsets
-    # are integer combinations of brick extents, so they never refine the
-    # frame of the box and bricks; offsets that refine it by more than
+    # and the distinct offsets there: (D per axis, box extents, each brick's
+    # extents, and per axis the distinct offsets in `t.placements.axes`
+    # order), as ints in units of 1/D. A tiling's offsets are integer
+    # combinations of brick extents, so they never refine the frame of the
+    # box and bricks; offsets that refine it by more than
     # 2**_FRAME_SLACK_BITS raise GridTooLarge before any offset is scaled.
     scale, columns = [], []
-    for ax, length in enumerate(t.box.dims):
+    for ax, (length, (values, _)) in enumerate(zip(t.box.dims, t.placements.axes)):
         fixed = [length, *(b.dims[ax] for b in t.bricks)]
         unit, ints = _common_denominator(
-            fixed + [p.offset[ax] for p in t.placements],
+            fixed + list(values),
             math.lcm(*(v.denominator for v in fixed)) << _FRAME_SLACK_BITS,
             f"offsets refine the integer frame on axis {ax} by more than 2**{_FRAME_SLACK_BITS}",
         )
@@ -227,29 +472,13 @@ def _integer_frame(
     return tuple(scale), tuple(c[0] for c in columns), bricks, [c[n:] for c in columns]
 
 
-def _arrangement_counts(
-    box: Sequence[int], spans: Sequence[tuple[list[int], list[int]]]
-) -> tuple[np.ndarray, list[tuple[slice, ...]]]:
-    # Cover count of each cell of the arrangement of all boundary coordinates
-    # per axis, and each placement's window of cells; `spans` holds the
-    # integer-frame low and high ends of every placement on each axis. Two
-    # open placements meet iff their windows share a cell.
-    index = [
-        {v: k for k, v in enumerate(sorted({0, length, *lo, *hi}))}
-        for length, (lo, hi) in zip(box, spans)
-    ]
-    shape = [len(ix) - 1 for ix in index]
-    total = math.prod(shape)
-    if total > ARRANGEMENT_CAP:
-        raise GridTooLarge(f"arrangement needs {total} cells, cap is {ARRANGEMENT_CAP}")
-    counts = np.zeros(shape, dtype=np.int32)
-    per_axis = [
-        [slice(ix[a], ix[b]) for a, b in zip(lo, hi)] for ix, (lo, hi) in zip(index, spans)
-    ]
-    windows = list(zip(*per_axis))
-    for window in windows:
-        counts[window] += 1
-    return counts, windows
+def _corners(lo: Sequence, hi: Sequence) -> Iterator[tuple[int, tuple]]:
+    # The 2**d corners of boxes [lo, hi), each with the sign (-1)**(number of
+    # high ends): a box's indicator is the signed sum of the orthants at its
+    # corners, and a box sum of a prefix-sum table the signed sum of its
+    # corner entries (times (-1)**d).
+    for pick in product((False, True), repeat=len(lo)):
+        yield (-1) ** sum(pick), tuple(h if up else low for up, low, h in zip(pick, lo, hi))
 
 
 def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
@@ -261,27 +490,54 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     interiors meet. Otherwise the interiors are disjoint and the placements
     lie inside the box, so they tile it iff the placed volume equals the box
     volume. Boundaries and volumes are compared as exact integers in the
-    tiling's per-axis integer frame. Raises GridTooLarge when the
-    arrangement has more than ARRANGEMENT_CAP cells, or when the offsets'
-    denominators make the frame on an axis more than 2**64 times finer than
-    the box and bricks need (no tiling does: its offsets are integer
-    combinations of brick extents).
+    tiling's per-axis integer frame, one per distinct offset and per brick
+    type and distinct offset; the counts are taken from the placements'
+    columns at once. Raises GridTooLarge when the arrangement has more than
+    ARRANGEMENT_CAP cells, or when the offsets' denominators make the frame
+    on an axis more than 2**64 times finer than the box and bricks need (no
+    tiling does: its offsets are integer combinations of brick extents).
     """
     _, box, bricks, offsets = _integer_frame(t)
-    types = [p.brick_index for p in t.placements]
-    spans = [
-        (lo, [o + bricks[i][ax] for o, i in zip(lo, types)]) for ax, lo in enumerate(offsets)
-    ]
-    counts, windows = _arrangement_counts(box, spans)
+    kinds = t.placements.kinds
+    lo, hi, shape = [], [], []
+    for ax, ((_, index), lows) in enumerate(zip(t.placements.axes, offsets)):
+        # Each (brick type, distinct offset) pair that occurs, numbered
+        # k * len(lows) + i, gives one high end.
+        pair = kinds * len(lows) + index
+        used = np.flatnonzero(np.bincount(pair, minlength=len(bricks) * len(lows))).tolist()
+        highs = [lows[p % len(lows)] + bricks[p // len(lows)][ax] for p in used]
+        at = {v: c for c, v in enumerate(sorted({0, box[ax], *lows, *highs}))}
+        ends = np.zeros(len(bricks) * len(lows), dtype=np.intp)
+        ends[used] = [at[v] for v in highs]
+        lo.append(np.array([at[v] for v in lows], dtype=np.intp)[index])
+        hi.append(ends[pair])
+        shape.append(len(at) - 1)
+    total = math.prod(shape)
+    if total > ARRANGEMENT_CAP:
+        raise GridTooLarge(f"arrangement needs {total} cells, cap is {ARRANGEMENT_CAP}")
+    # Cover counts: signed corners of every placement's window of cells,
+    # summed along each axis.
+    counts = np.zeros([s + 1 for s in shape], dtype=np.int32)
+    for sign, corner in _corners(lo, hi):
+        np.add.at(counts, corner, sign)
+    for ax in range(len(shape)):
+        np.add.accumulate(counts, axis=ax, out=counts)
     if counts.max() > 1:
         # The first placement with a shared cell meets only later placements:
-        # an earlier one it met would have been found first.
-        i = next(k for k, window in enumerate(windows) if counts[window].max() > 1)
-        for j in range(i + 1, len(windows)):
-            if all(max(p.start, q.start) < min(p.stop, q.stop) for p, q in zip(windows[i], windows[j])):
-                return VerifyOutcome("overlap", (i, j))
-    uses = Counter(types)
-    if sum(n * math.prod(bricks[k]) for k, n in uses.items()) != math.prod(box):
-        placed = sum((n * volume(t.bricks[k]) for k, n in uses.items()), Fraction(0))
+        # an earlier one it met would have been found first. Its window
+        # holds a cell covered twice iff its box sum of `shared` is nonzero.
+        shared = np.zeros_like(counts)
+        shared[(slice(1, None),) * len(shape)] = counts[(slice(None, -1),) * len(shape)] > 1
+        for ax in range(len(shape)):
+            np.add.accumulate(shared, axis=ax, out=shared)
+        hits = sum(sign * shared[corner] for sign, corner in _corners(lo, hi))
+        i = int(np.flatnonzero(hits)[0])
+        meets = np.logical_and.reduce(
+            [np.maximum(a[i], a[i + 1 :]) < np.minimum(b[i], b[i + 1 :]) for a, b in zip(lo, hi)]
+        )
+        return VerifyOutcome("overlap", (i, i + 1 + int(np.flatnonzero(meets)[0])))
+    uses = np.bincount(kinds, minlength=len(bricks)).tolist()
+    if sum(n * math.prod(b) for n, b in zip(uses, bricks)) != math.prod(box):
+        placed = sum((n * volume(b) for n, b in zip(uses, t.bricks)), Fraction(0))
         return VerifyOutcome("volume-mismatch", (placed, volume(t.box)))
     return VerifyOutcome("ok")

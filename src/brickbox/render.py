@@ -2,11 +2,15 @@
 
 One rectangle per placement, colored by brick type. Coordinates come from
 the tiling's integer frame (see `geometry`): an integer where the scaled
-value is one, else the repr of its nearest double. The y axis is flipped so
-the origin sits at the bottom-left, matching the mathematical orientation.
+value is one, else the repr of its nearest double. They are read off the
+placement columns, so each distinct coordinate is formatted once. The y
+axis is flipped so the origin sits at the bottom-left, matching the
+mathematical orientation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .geometry import Tiling, _integer_frame
 
@@ -33,6 +37,7 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
     if scale < 1:
         raise ValueError(f"scale must be at least 1: {scale}")
     (dx, dy), (width, height), bricks, (xs, ys) = _integer_frame(t)
+    kinds, ((_, ix), (_, iy)) = t.placements.kinds, t.placements.axes
 
     def num(v: int, unit: int) -> str:
         # v * scale / unit, as an integer or as the nearest double's repr
@@ -45,15 +50,22 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         f'<rect x="0" y="0" width="{w}" height="{h}" '
         'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
     ]
-    sizes = [
-        f'width="{num(a, dx)}" height="{num(b, dy)}" fill="{PALETTE[k % len(PALETTE)]}"'
-        for k, (a, b) in enumerate(bricks)
-    ]
-    for p, x, y in zip(t.placements, xs, ys):
-        k = p.brick_index
-        y_text = num(height - y - bricks[k][1], dy)  # flip: origin bottom-left
-        lines.append(
-            f'<rect x="{num(x, dx)}" y="{y_text}" {sizes[k]} stroke="#000000" stroke-width="1"/>'
-        )
+    # Each distinct x, and each flipped y per (brick type, distinct y) pair
+    # that occurs, numbered k * len(ys) + i, is formatted once; a
+    # placement's line joins three pieces.
+    heads = np.array([f'<rect x="{num(x, dx)}" y="' for x in xs], dtype=object)
+    pair = kinds * len(ys) + iy
+    used = np.flatnonzero(np.bincount(pair, minlength=len(bricks) * len(ys))).tolist()
+    flipped = np.empty(len(bricks) * len(ys), dtype=object)
+    flipped[used] = [num(height - ys[p % len(ys)] - bricks[p // len(ys)][1], dy) for p in used]
+    tails = np.array(
+        [
+            f'" width="{num(a, dx)}" height="{num(b, dy)}" fill="{PALETTE[k % len(PALETTE)]}" '
+            'stroke="#000000" stroke-width="1"/>'
+            for k, (a, b) in enumerate(bricks)
+        ],
+        dtype=object,
+    )
+    lines += (heads[ix] + flipped[pair] + tails[kinds]).tolist()
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

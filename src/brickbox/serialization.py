@@ -5,15 +5,23 @@ are accepted on input. A rational string follows the one grammar of
 `geometry.frac` ("3", "-3/4", "+6/08"; no decimal points or exponents).
 Axis indices are 1-based in JSON and 0-based in the API. Parsers validate
 shape and raise ValueError on malformed input.
+
+A tiling travels as columns both ways (see `geometry.Placements`): each
+distinct offset literal is parsed once, and each distinct offset formatted
+once, with no `Placement` built per placement.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any
+
+import numpy as np
 
 from .counterexample import NoSplitReport, ThreeBrickInstance
-from .geometry import BoxSpec, Brick, Placement, Tiling, VerifyOutcome, _is_int, frac
+from .geometry import BoxSpec, Brick, Placement, Placements, Tiling, VerifyOutcome, _is_int, frac
 from .spectral import KeyObservationWitness, SpectralReport
 from .theorem import DecisionOutcome, KeyObservationViolation, SplitCertificate
 
@@ -43,12 +51,10 @@ def _rational_list(values: Sequence[Fraction | int]) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def _parse_rational_list(
-    obj: Any, what: str, parse: Callable[[Any], Fraction] = parse_rational
-) -> tuple[Fraction, ...]:
+def _parse_rational_list(obj: Any, what: str) -> tuple[Fraction, ...]:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{what} must be a nonempty list of rationals")
-    return tuple(map(parse, obj))
+    return tuple(map(parse_rational, obj))
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +82,99 @@ def box_from_obj(obj: Any) -> BoxSpec:
     return BoxSpec(_parse_rational_list(obj["dims"], "box dims"))
 
 
-def placement_to_obj(p: Placement) -> dict:
-    return {"brick": p.brick_index, "offset": _rational_list(p.offset)}
-
-
 def placement_from_obj(obj: Any) -> Placement:
-    return _placement_from_obj(obj, parse_rational)
-
-
-def _placement_from_obj(obj: Any, parse: Callable[[Any], Fraction]) -> Placement:
     if not isinstance(obj, dict) or "brick" not in obj or "offset" not in obj:
         raise ValueError("placement must be an object with 'brick' and 'offset'")
     if not _is_int(obj["brick"]):
         raise ValueError("placement brick index must be an integer")
-    return Placement(obj["brick"], _parse_rational_list(obj["offset"], "offset", parse))
+    return Placement(obj["brick"], _parse_rational_list(obj["offset"], "offset"))
+
+
+def _offset_texts(t: Tiling, suffixes: Sequence[str] | None = None) -> list[np.ndarray]:
+    # Per axis, each distinct offset formatted once (and its suffix appended).
+    suffixes = suffixes or [""] * t.box.dim
+    return [
+        np.array([format_rational(v) + suffix for v in values], dtype=object)
+        for (values, _), suffix in zip(t.placements.axes, suffixes)
+    ]
 
 
 def tiling_to_obj(t: Tiling) -> dict:
+    kinds, axes = t.placements.kinds, t.placements.axes
+    offsets = zip(*(text[index].tolist() for text, (_, index) in zip(_offset_texts(t), axes)))
     return {
         "box": box_to_obj(t.box),
         "bricks": [brick_to_obj(b) for b in t.bricks],
-        "placements": [placement_to_obj(p) for p in t.placements],
+        "placements": [
+            {"brick": k, "offset": list(offset)} for k, offset in zip(kinds.tolist(), offsets)
+        ],
     }
+
+
+# Most placements `tiling_to_json` formats into one piece of text.
+_CHUNK = 2**16
+
+
+def tiling_to_json(t: Tiling) -> Iterator[str]:
+    """The text of `json.dumps(tiling_to_obj(t), indent=2)` and a newline.
+
+    It comes in pieces of at most _CHUNK placements, so a large tiling is
+    written without building its objects or all of its text at once.
+    """
+    head = json.dumps(
+        {"box": box_to_obj(t.box), "bricks": [brick_to_obj(b) for b in t.bricks], "placements": []},
+        indent=2,
+    )
+    kinds, axes = t.placements.kinds, t.placements.axes
+    if not len(kinds):
+        yield head + "\n"
+        return
+    yield head[: -len("[]\n}")] + "[\n"
+    # A placement reads: its brick's opening lines, then each offset with
+    # the separator that follows it, all at json.dumps's indentation.
+    openings = np.array(
+        [f'    {{\n      "brick": {k},\n      "offset": [\n        "' for k in range(len(t.bricks))],
+        dtype=object,
+    )
+    texts = _offset_texts(t, ['",\n        "'] * (len(axes) - 1) + ['"\n      ]\n    }'])
+    for first in range(0, len(kinds), _CHUNK):
+        rows = slice(first, first + _CHUNK)
+        items = openings[kinds[rows]]
+        for text, (_, index) in zip(texts, axes):
+            items = items + text[index[rows]]
+        yield (",\n" if first else "") + ",\n".join(items.tolist())
+    yield "\n  ]\n}\n"
+
+
+def _json_columns(placements: list, types: int) -> Placements | None:
+    # The columns of well-formed placements, each distinct literal parsed
+    # once; None when some placement is malformed, names an unknown brick
+    # type or has another length, or some literal fails to parse, so that
+    # the per-placement parse reports the first error in order. Only str
+    # and exact int literals are keys: True and 1.0 hash and compare equal
+    # to 1, and must still reach parse_rational and fail.
+    try:
+        kinds = [p["brick"] for p in placements]
+        offsets = [p["offset"] for p in placements]
+    except (TypeError, KeyError):
+        return None
+    if set(map(type, kinds)) != {int} or min(kinds) < 0 or max(kinds) >= types:
+        return None
+    widths = set(map(len, offsets)) if set(map(type, offsets)) == {list} else set()
+    if len(widths) != 1:
+        return None
+    axes = []
+    for ax in range(widths.pop()):
+        column = [o[ax] for o in offsets]
+        if not set(map(type, column)) <= {str, int}:
+            return None
+        at = {literal: k for k, literal in enumerate(dict.fromkeys(column))}
+        try:
+            values = [parse_rational(literal) for literal in at]
+        except ValueError:
+            return None
+        axes.append((values, np.fromiter(map(at.__getitem__, column), np.intp, len(column))))
+    return Placements(kinds, axes) if axes else None
 
 
 def tiling_from_obj(obj: Any) -> Tiling:
@@ -108,24 +185,11 @@ def tiling_from_obj(obj: Any) -> Tiling:
             raise ValueError(f"tiling is missing '{key}'")
     if not isinstance(obj["bricks"], list) or not isinstance(obj["placements"], list):
         raise ValueError("tiling 'bricks' and 'placements' must be lists")
-    # A tiling repeats a few offsets per axis, so parse each literal once.
-    # Only str and exact int literals are keys: True and 1.0 hash and
-    # compare equal to 1, and must still reach parse_rational and fail.
-    parsed: dict[str | int, Fraction] = {}
-
-    def parse(value: Any) -> Fraction:
-        if type(value) is not str and type(value) is not int:
-            return parse_rational(value)
-        f = parsed.get(value)
-        if f is None:
-            f = parsed[value] = parse_rational(value)
-        return f
-
-    return Tiling(
-        bricks=tuple(brick_from_obj(b) for b in obj["bricks"]),
-        placements=tuple(_placement_from_obj(p, parse) for p in obj["placements"]),
-        box=box_from_obj(obj["box"]),
-    )
+    bricks = tuple(brick_from_obj(b) for b in obj["bricks"])
+    placements = _json_columns(obj["placements"], len(bricks))
+    if placements is None:
+        placements = tuple(placement_from_obj(p) for p in obj["placements"])
+    return Tiling(bricks=bricks, placements=placements, box=box_from_obj(obj["box"]))
 
 
 # ---------------------------------------------------------------------------

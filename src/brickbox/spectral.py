@@ -27,10 +27,11 @@ exact integrality test on rational frequencies, so the key-observation
 witness is checked in exact rational arithmetic and holds for extents of
 any size.
 
-`residual_sample` reads placement centers from the tiling's per-axis
-integer frame (see `geometry`), so each center is rounded to a double once.
-Per brick type, it factors every phase into one factor per axis, gathered
-from a table over that axis's distinct centers, and works through the
+`residual_sample` reads each brick type's distinct centers off the
+tiling's placement columns in its per-axis integer frame (see `geometry`),
+so each distinct center is rounded to a double once. Per brick type, it
+factors every phase into one factor per axis, gathered from a table over
+that axis's distinct centers, and works through the
 points in chunks and the placements in blocks so that no working array
 holds more than 2**16 entries (or one table row, for an axis with more
 distinct centers than that): memory stays bounded however many placements
@@ -51,6 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -150,14 +152,28 @@ def random_frequencies(
     return list(zip(*[iter(flat)] * dim))
 
 
-def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Sum over placements k of exp(2*pi*i * xi.centers[:, k]) at every point
-    # xi. Each phase is a product of one factor per axis, gathered from a
-    # table exp(2j*pi * (xi_j * c)) over that axis's distinct centers c.
-    # Points go in chunks and placements in blocks, so that tables, factors
-    # and products hold at most _BLOCK_ENTRIES entries each (or one row of
-    # the widest table, when an axis has more distinct centers than that).
-    distinct, where = zip(*(np.unique(row, return_inverse=True) for row in centers))
+def _points_array(points: Sequence[Frequency], d: int) -> np.ndarray:
+    # The points as rows of doubles, read in one pass once every point is
+    # known to have d coordinates (np.asarray would probe each one's shape).
+    try:
+        widths = set(map(len, points))
+    except TypeError:
+        widths = set()
+    if widths != {d}:
+        raise ValueError("sample points and box have different dimensions")
+    return np.fromiter(chain.from_iterable(points), float, len(points) * d).reshape(-1, d)
+
+
+def _phase_sum(
+    pts: np.ndarray, distinct: Sequence[np.ndarray], where: Sequence[np.ndarray]
+) -> np.ndarray:
+    # Sum over placements k of exp(2*pi*i * xi.lambda_k) at every point xi,
+    # where lambda_k is distinct[ax][where[ax][k]] on each axis. Each phase is
+    # a product of one factor per axis, gathered from a table
+    # exp(2j*pi * (xi_j * c)) over that axis's distinct centers c. Points go
+    # in chunks and placements in blocks, so that tables, factors and
+    # products hold at most _BLOCK_ENTRIES entries each (or one row of the
+    # widest table, when an axis has more distinct centers than that).
     chunk = max(1, _BLOCK_ENTRIES // max(map(len, distinct)))
     block = max(1, _BLOCK_ENTRIES // chunk)
     total = np.zeros(pts.shape[0], dtype=complex)
@@ -167,7 +183,7 @@ def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
             table = np.multiply.outer(xi.astype(complex), values)
             table *= 2j * np.pi
             tables.append(np.exp(table, out=table))
-        for first in range(0, centers.shape[1], block):
+        for first in range(0, len(where[0]), block):
             term = None
             for table, cols in zip(tables, where):
                 factor = table[:, cols[first : first + block]]
@@ -177,6 +193,25 @@ def _phase_sum(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
                     term *= factor
             total[lo : lo + chunk] += term.sum(axis=1)
     return total
+
+
+def _centers(
+    mine: np.ndarray, index: np.ndarray, offsets: list[int], c: int, length: int, unit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # The sorted distinct centers of one brick type's placements on one
+    # axis, as doubles, and each placement's index into them (what
+    # np.unique(return_inverse=True) gives). A center minus half the box is
+    # (2o + c - L) / 2D in the frame: an int ratio rounds once, to the same
+    # double as float(Fraction). Centers grow with the offsets, and two
+    # offsets may round to one double.
+    index = index[mine]
+    rows = np.flatnonzero(np.bincount(index, minlength=len(offsets)))
+    centers = np.array([(2 * offsets[i] + c - length) / (2 * unit) for i in rows.tolist()])
+    new = np.ones(len(centers), dtype=bool)
+    np.not_equal(centers[1:], centers[:-1], out=new[1:])
+    rank = np.zeros(len(offsets), dtype=np.intp)
+    rank[rows] = np.cumsum(new) - 1
+    return centers[new], rank[index]
 
 
 # Overflow shows as a non-finite residual, which raises, not as a warning.
@@ -200,9 +235,7 @@ def residual_sample(
     """
     if not points:
         raise ValueError("need at least one sample point")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != t.box.dim:
-        raise ValueError("sample points and box have different dimensions")
+    pts = _points_array(points, t.box.dim)
     if not np.isfinite(pts).all():
         raise ValueError("sample points must be finite")
     box_volume = math.prod(float(length) for length in t.box.dims)
@@ -211,22 +244,19 @@ def residual_sample(
     if math.isinf(box_volume):
         raise ValueError("box volume above double range")
     scale, box, bricks, offsets = _integer_frame(t)
-    members: list[list[int]] = [[] for _ in t.bricks]
-    for k, p in enumerate(t.placements):
-        members[p.brick_index].append(k)
+    kinds, axes = t.placements.kinds, t.placements.axes
     total = np.zeros(pts.shape[0], dtype=complex)
-    for brick, extents, mine in zip(t.bricks, bricks, members):
-        if not mine:
+    for k, (brick, extents) in enumerate(zip(t.bricks, bricks)):
+        mine = kinds == k
+        if not mine.any():
             continue
-        # A center minus half the box is (2o + c - L) / 2D in the frame: an
-        # int ratio rounds once, to the same double as float(Fraction).
-        centers = np.array(
-            [
-                [(2 * column[k] + c - length) / (2 * unit) for k in mine]
-                for column, c, length, unit in zip(offsets, extents, box, scale)
-            ]
+        distinct, where = zip(
+            *(
+                _centers(mine, index, column, c, length, unit)
+                for (_, index), column, c, length, unit in zip(axes, offsets, extents, box, scale)
+            )
         )
-        total += _phase_sum(pts, centers) * _box_transform_batch(brick.dims, pts)
+        total += _phase_sum(pts, distinct, where) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     if not np.isfinite(resid).all():
         raise ValueError("sample frequencies too large for the box: a residual is not finite")

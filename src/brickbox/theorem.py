@@ -21,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 
-from .geometry import BoxSpec, Brick, GridTooLarge, Placement, Tiling, frac
+import numpy as np
+
+from .geometry import BoxSpec, Brick, GridTooLarge, Placements, Tiling, frac
 from .spectral import KeyObservationWitness, key_observation_witness
 
 
@@ -203,10 +205,15 @@ def validate_certificate(
 
 def _slab_placements(
     box: BoxSpec, axis: int, slabs: list[tuple[Brick, int]], cap: float
-) -> list[Placement]:
+) -> Placements:
     # Slab k is a grid of brick k: `layers` copies along `axis`, after slabs
-    # 0..k-1, and L_i/c_i copies on every other axis. An unused brick may
-    # not divide the cross axes, so it is neither counted nor built.
+    # 0..k-1, and L_i/c_i copies on every other axis, in row-major order
+    # (the last axis varies fastest). An unused brick may not divide the
+    # cross axes, so it is neither counted nor built. Offsets are ints in
+    # units of 1/D on each axis, D the lcm of the used bricks' denominators
+    # there, so each distinct offset becomes a Fraction once. Placement p
+    # of a grid sits at grid coordinate (p // later) % count on each axis,
+    # `later` the number of cells of the later axes.
     grids = []
     for k, (brick, layers) in enumerate(slabs):
         if layers:
@@ -216,17 +223,26 @@ def _slab_placements(
     total = sum(math.prod(counts) for _, _, counts in grids)
     if total > cap:
         raise GridTooLarge(f"tiling needs {total} placements, cap is {cap}")
-    placements: list[Placement] = []
-    base = Fraction(0)
+    units = [math.lcm(*(b.dims[i].denominator for _, b, _ in grids)) for i in range(box.dim)]
+    kinds, runs = [], [[] for _ in units]
+    base = 0
     for k, brick, counts in grids:
-        offsets = [
-            [base + j * ext for j in range(count)] if i == axis
-            else [j * ext for j in range(count)]
-            for i, (ext, count) in enumerate(zip(brick.dims, counts))
-        ]
-        placements += [Placement(k, offset) for offset in product(*offsets)]
-        base += counts[axis] * brick.dims[axis]
-    return placements
+        size = math.prod(counts)
+        kinds.append(np.full(size, k, dtype=np.intp))
+        cell, later = np.arange(size), size
+        steps = [ext.numerator * unit // ext.denominator for ext, unit in zip(brick.dims, units)]
+        for i, (step, count) in enumerate(zip(steps, counts)):
+            later //= count
+            start = base if i == axis else 0
+            runs[i].append(([start + j * step for j in range(count)], cell // later % count))
+        base += counts[axis] * steps[axis]
+    axes = []
+    for unit, axis_runs in zip(units, runs):
+        cells = sorted(set(chain.from_iterable(run for run, _ in axis_runs)))
+        at = {v: c for c, v in enumerate(cells)}
+        index = [np.array([at[v] for v in run], dtype=np.intp)[j] for run, j in axis_runs]
+        axes.append(([Fraction(v, unit) for v in cells], np.concatenate(index)))
+    return Placements._canonical(np.concatenate(kinds), axes)
 
 
 def one_brick_tiling(box: BoxSpec, brick: Brick, cap: float = math.inf) -> Tiling | None:
@@ -253,4 +269,4 @@ def certificate_to_tiling(
     """
     validate_certificate(cert, box, a, b)
     placements = _slab_placements(box, cert.axis, [(a, cert.m), (b, cert.n)], cap)
-    return Tiling(bricks=(a, b), placements=tuple(placements), box=box)
+    return Tiling(bricks=(a, b), placements=placements, box=box)

@@ -1,12 +1,13 @@
 """Exact geometry: scalars, shapes, and the geometric verifier."""
 
+import pickle
 import random
 import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,14 +19,23 @@ from brickbox import (
     Brick,
     GridTooLarge,
     Placement,
+    Placements,
     Tiling,
     VerifyOutcome,
+    build_cover_problem,
+    build_grid,
     certificate_to_tiling,
     decide_two_brick,
     frac,
+    lift_to_dimension,
+    make_instance,
+    pinwheel_tiling,
+    rows_to_tiling,
+    solve_exact_cover,
     verify_tiling_geometric,
     volume,
 )
+from brickbox import serialization as ser
 from brickbox.serialization import parse_rational
 from references import interiors_disjoint, rational_gcd
 
@@ -477,8 +487,9 @@ def _mutate(rng, t):
     return Tiling(bricks=t.bricks, placements=tuple(placements), box=t.box)
 
 
-def _random_tiling(rng):
-    """Random placements of one to three brick types inside a random box."""
+def _random_parts(rng):
+    """Random placements of one to three brick types inside a random box:
+    (bricks, placements, box)."""
     d = rng.randint(1, 3)
     box = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(d)]
     bricks = [Brick([_rational_in(rng, L) or L for L in box]) for _ in range(rng.randint(1, 3))]
@@ -487,7 +498,12 @@ def _random_tiling(rng):
         k = rng.randrange(len(bricks))
         offset = [_rational_in(rng, L - c) for L, c in zip(box, bricks[k].dims)]
         placements.append(Placement(k, tuple(offset)))
-    return Tiling(bricks=tuple(bricks), placements=tuple(placements), box=BoxSpec(box))
+    return tuple(bricks), tuple(placements), BoxSpec(box)
+
+
+def _random_tiling(rng):
+    bricks, placements, box = _random_parts(rng)
+    return Tiling(bricks=bricks, placements=placements, box=box)
 
 
 def test_verify_matches_pairwise_oracle_on_seeded_corpus():
@@ -634,3 +650,174 @@ def test_many_coprime_offset_denominators_are_refused_before_scaling():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Columnar placements against the Placement tuples they stand for
+# ---------------------------------------------------------------------------
+
+
+def test_tiling_member_types_raise_type_error_naming_the_field():
+    box, brick, p = BoxSpec((1, 1)), Brick((1, 1)), Placement(0, (0, 0))
+    cases = [
+        ("bricks", dict(bricks=((1, 1),), placements=(p,), box=box)),
+        ("box", dict(bricks=(brick,), placements=(p,), box=(1, 1))),
+        ("placements", dict(bricks=(brick,), placements=((0, (0, 0)),), box=box)),
+        ("bricks", dict(bricks=Brick((1, 1)), placements=(p,), box=box)),
+    ]
+    for field, kwargs in cases:
+        with pytest.raises(TypeError, match=rf"^{field}\b"):
+            Tiling(**kwargs)
+
+
+def reference_certificate_placements(cert, box, a, b):
+    """A certificate tiling's placements built one at a time in Fraction
+    arithmetic: the slab of brick a, then that of brick b, each a grid in
+    row-major order (the last axis varies fastest)."""
+    placements, base = [], F(0)
+    for k, (brick, layers) in enumerate(((a, cert.m), (b, cert.n))):
+        if not layers:
+            continue
+        counts = [int(L / c) for L, c in zip(box.dims, brick.dims)]
+        counts[cert.axis] = layers
+        grids = [
+            [(base if i == cert.axis else 0) + j * c for j in range(n)]
+            for i, (c, n) in enumerate(zip(brick.dims, counts))
+        ]
+        placements += [Placement(k, offset) for offset in product(*grids)]
+        base += layers * brick.dims[cert.axis]
+    return tuple(placements)
+
+
+def _certificate_case(rng):
+    while True:
+        d = rng.randint(1, 3)
+        a = [F(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
+        b = [x * rng.choice((1, 2, 3, F(1, 2), F(2, 3))) for x in a]
+        box = [x * y / rational_gcd(x, y) * rng.randint(1, 2) for x, y in zip(a, b)]
+        axis = rng.randrange(d)
+        box[axis] = rng.randint(0, 3) * a[axis] + rng.randint(1, 3) * b[axis]
+        box, a, b = BoxSpec(box), Brick(a), Brick(b)
+        cert = decide_two_brick(box, a, b).certificate
+        ref = reference_certificate_placements(cert, box, a, b)
+        if len(ref) <= 120:
+            return certificate_to_tiling(cert, box, a, b), ref
+
+
+def _oracle_case(rng):
+    """An exact-cover tiling of a small box by one to three brick types."""
+    while True:
+        d = rng.randint(1, 2)
+        bricks = [Brick([F(rng.randint(1, 2), rng.choice((1, 2))) for _ in range(d)])]
+        bricks.append(Brick([c * rng.randint(1, 2) for c in bricks[0].dims]))
+        box = BoxSpec([c * rng.randint(1, 4) for c in bricks[1].dims])
+        problem = build_cover_problem(build_grid(box, bricks))
+        solutions = solve_exact_cover(problem, limit=1).solutions
+        if solutions:
+            rows = [problem.rows[r] for r in solutions[0]]
+            ref = tuple(
+                Placement(row.brick, tuple(o * u for o, u in zip(row.offset, problem.grid.unit)))
+                for row in rows
+            )
+            return rows_to_tiling(box, bricks, problem, solutions[0]), ref
+
+
+def _pinwheel_case(rng):
+    R = rng.randint(4, 9)
+    ref = (
+        Placement(2, (1, 1)),
+        Placement(1, (0, 0)),
+        Placement(0, (R, 0)),
+        Placement(1, (1, R)),
+        Placement(0, (0, 1)),
+    )
+    return pinwheel_tiling(make_instance(R)), ref
+
+
+def _lifted_case(rng):
+    t, ref = _pinwheel_case(rng) if rng.random() < 0.5 else _certificate_case(rng)
+    while t.box.dim != 2:
+        t, ref = _certificate_case(rng)
+    d = rng.randint(3, 4)
+    zeros = (F(0),) * (d - 2)
+    return lift_to_dimension(t, d), tuple(Placement(p.brick_index, p.offset + zeros) for p in ref)
+
+
+def _hand_built_case(rng):
+    bricks, placements, box = _random_parts(rng)
+    return Tiling(bricks=bricks, placements=placements, box=box), placements
+
+
+def _mutant_cases(rng, t, ref):
+    """Drop, duplicate and shift one placement, built from Placement tuples."""
+    if not ref:
+        return []
+    k = rng.randrange(len(ref))
+    p = ref[k]
+    dims = t.bricks[p.brick_index].dims
+    ax = rng.randrange(t.box.dim)
+    offset = list(p.offset)
+    offset[ax] = (t.box.dims[ax] - dims[ax]) * F(rng.randint(0, 4), 4)
+    shifted = Placement(p.brick_index, tuple(offset))
+    refs = (ref[:k] + ref[k + 1 :], ref[:k] + (p,) + ref[k:], ref[:k] + (shifted,) + ref[k + 1 :])
+    return [(Tiling(bricks=t.bricks, placements=r, box=t.box), r) for r in refs]
+
+
+COLUMNS_SEED = 20261019
+
+
+def test_columnar_tilings_match_their_placement_tuples_on_seeded_corpus():
+    rng = random.Random(COLUMNS_SEED)
+    builders = (_certificate_case, _oracle_case, _pinwheel_case, _lifted_case, _hand_built_case)
+    by_key, seen = {}, Counter()
+    extra = Placement(0, (F(0),))
+    for case in range(500):
+        build = builders[case % len(builders)]
+        t, ref = build(rng)
+        for u, r in [(t, ref)] + _mutant_cases(rng, t, ref):
+            view = u.placements
+            assert isinstance(view, Placements) and len(view) == len(r), case
+            got = tuple(view)
+            assert all(p == q for p, q in zip(got, r, strict=True)), case
+            assert all(type(c) is F for p in got for c in p.offset), case
+            same = Tiling(bricks=u.bricks, placements=r, box=u.box)
+            assert same == u and hash(same) == hash(u), case
+            assert Tiling(bricks=u.bricks, placements=view, box=u.box) == u, case
+            assert ser.tiling_from_obj(ser.tiling_to_obj(u)) == u, case
+            # The tuple idioms the tests use.
+            assert view == r and list(view) == list(r) and view[:3] == r[:3], case
+            assert view + (extra,) == r + (extra,) and (extra,) + view == (extra,) + r, case
+            if r:
+                assert view[-1] == r[-1] and view[len(r) // 2] == r[len(r) // 2], case
+            key = (u.bricks, u.box, r)
+            if key in by_key:
+                assert by_key[key] == u and hash(by_key[key]) == hash(u), case
+            by_key.setdefault(key, u)
+            seen[build.__name__] += 1
+    # Equal exactly when bricks, box and placement tuples are.
+    tilings = list(by_key.values())
+    assert len(set(tilings)) == len(tilings)
+    assert all(a != b for a, b in zip(tilings, tilings[1:]))
+    assert min(seen.values()) >= 300, seen
+
+
+def test_placements_view_columns_are_canonical_and_read_only():
+    # Values in any order, repeated or unused, give the sorted distinct form.
+    view = Placements([1, 0, 1], [((3, F(1, 2), 3, 7), [2, 1, 0])])
+    assert view.axes[0][0] == (F(1, 2), 3)
+    assert view.axes[0][1].tolist() == [1, 0, 1]
+    assert view == Placements([1, 0, 1], [((F(1, 2), 3), [1, 0, 1])])
+    assert tuple(view) == (Placement(1, (3,)), Placement(0, (F(1, 2),)), Placement(1, (3,)))
+    with pytest.raises(ValueError):
+        view.kinds[0] = 0
+    with pytest.raises(ValueError):
+        view.axes[0][1][0] = 0
+    copy = pickle.loads(pickle.dumps(view))
+    assert copy == view and not copy.kinds.flags.writeable
+    assert not any(index.flags.writeable for _, index in copy.axes)
+    with pytest.raises(ValueError, match="offset index out of range"):
+        Placements([0], [((1,), [1])])
+    with pytest.raises(ValueError, match="one entry per placement"):
+        Placements([0, 0], [((1,), [0])])
+    with pytest.raises(IndexError):
+        view[3]

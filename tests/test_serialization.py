@@ -21,8 +21,12 @@ from brickbox import (
     make_instance,
     pinwheel_tiling,
     proper_split_report,
+    random_frequencies,
+    residual_sample,
     tiling_to_svg,
+    verify_tiling_geometric,
 )
+from brickbox import geometry
 from brickbox import serialization as ser
 from brickbox.cli import main
 from brickbox.render import PALETTE
@@ -398,3 +402,55 @@ def test_tiling_io_matches_per_item_references_on_seeded_corpus(tmp_path, capsys
     path.write_text(json.dumps(ser.tiling_to_obj(fine)))
     assert main(["render", "--input", str(path)]) == 3
     assert capsys.readouterr() == ("", "budget exhausted: offsets refine the integer frame on axis 0 by more than 2**64\n")
+
+
+# ---------------------------------------------------------------------------
+# Columns end to end
+# ---------------------------------------------------------------------------
+
+
+def test_certify_path_builds_no_placement(monkeypatch):
+    # A certificate tiling goes through JSON, both verifiers and the SVG
+    # writer as columns: not one Placement is built on the way.
+    cases = [
+        (BoxSpec((7, F(7, 2))), Brick((F(3, 2), F(1, 2))), Brick((2, F(7, 6)))),
+        (BoxSpec((2, 3, F(7, 3))), Brick((1, F(3, 2), F(2, 3))), Brick((2, 1, 1))),
+    ]
+
+    def refuse(self):
+        raise AssertionError(f"Placement built: {self!r}")
+
+    monkeypatch.setattr(geometry.Placement, "__post_init__", refuse)
+    for box, a, b in cases:
+        cert = decide_two_brick(box, a, b).certificate
+        assert cert.m and cert.n  # both bricks are used
+        built = certificate_to_tiling(cert, box, a, b)
+        t = ser.tiling_from_obj(json.loads(json.dumps(ser.tiling_to_obj(built))))
+        assert len(t.placements) == len(built.placements) > 10
+        assert t == built
+        assert "".join(ser.tiling_to_json(t)) == json.dumps(ser.tiling_to_obj(t), indent=2) + "\n"
+        assert verify_tiling_geometric(t).ok
+        points = random_frequencies(box.dim, 200, seed=len(t.placements))
+        assert residual_sample(t, points).max_abs_residual < 1e-9
+        if box.dim == 2:
+            assert tiling_to_svg(t).count("<rect") == len(t.placements) + 1
+    with pytest.raises(AssertionError, match="Placement built"):
+        list(t.placements)
+
+
+def test_tiling_json_text_is_json_dumps_with_indent_2(monkeypatch):
+    # Pieces of three placements, so that pieces join at every position.
+    monkeypatch.setattr(ser, "_CHUNK", 3)
+    rng = random.Random(IO_SEED + 1)
+    brick = Brick((1, 1))
+    tilings = [
+        pinwheel_tiling(make_instance(5)),
+        Tiling(bricks=(brick,), placements=(), box=BoxSpec((1, 1))),
+        Tiling(bricks=(brick,), placements=(Placement(0, (0, 0)),), box=BoxSpec((1, 1))),
+        Tiling(bricks=(), placements=(), box=BoxSpec((2,))),
+    ]
+    tilings += [_certificate_tiling(rng, 1 + case % 3) for case in range(30)]
+    for t in tilings:
+        text = "".join(ser.tiling_to_json(t))
+        assert text == json.dumps(reference_tiling_to_obj(t), indent=2) + "\n"
+        assert ser.tiling_from_obj(json.loads(text)) == t

@@ -29,7 +29,8 @@ from brickbox import (
     residual_sample,
     volume,
 )
-from brickbox.spectral import SpectralReport, _box_transform_batch
+from brickbox.geometry import _integer_frame
+from brickbox.spectral import SpectralReport, _box_transform_batch, _centers
 from references import box_transform, interiors_disjoint, rational_gcd
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,29 @@ def test_residual_with_all_centers_distinct_matches_dense_reference():
         assert (report.max_abs_residual < TOLERANCE) == (tiling is t)
         if tiling is not t:
             assert report.witness == witness
+
+
+def test_centers_are_what_np_unique_gives_for_each_brick_type():
+    # Offsets 1/3 and 1/3 + 2**-62 round to one double center, so they share
+    # a phase-table column, as np.unique over the placements' centers makes
+    # them share it; chunk sizes follow the number of distinct centers.
+    close = F(1, 3) + F(1, 2**62)
+    bricks = (Brick((F(1, 4),)), Brick((F(1, 2),)))
+    offsets = [(0, F(0)), (1, F(1, 4)), (0, F(1, 3)), (0, close), (1, F(1, 4)), (0, F(3, 4))]
+    t = Tiling(
+        bricks=bricks, placements=tuple(Placement(k, (o,)) for k, o in offsets), box=BoxSpec((1,))
+    )
+    scale, box, extents, columns = _integer_frame(t)
+    (_, index), = t.placements.axes
+    merged = 0
+    for k, brick in enumerate(bricks):
+        doubles = [float(o + brick.dims[0] / 2 - F(1, 2)) for kind, o in offsets if kind == k]
+        want, inverse = np.unique(doubles, return_inverse=True)
+        mine = t.placements.kinds == k
+        got, where = _centers(mine, index, columns[0], extents[k][0], box[0], scale[0])
+        assert got.tobytes() == want.tobytes() and where.tolist() == inverse.tolist()
+        merged += len(doubles) - len(want)
+    assert merged == 2  # the two brick-1 copies, and 1/3 with 1/3 + 2**-62
 
 
 def _unit_squares(side):
