@@ -333,11 +333,12 @@ def rows_to_tiling(
     rows = [problem.rows[rid] for rid in row_ids]
     axes = []
     for ax, unit in enumerate(problem.grid.unit):
+        # Merged as ints, so each distinct offset becomes one Fraction.
         column = [row.offset[ax] for row in rows]
         cells = sorted(set(column))
         at = {c: k for k, c in enumerate(cells)}
         axes.append(([c * unit for c in cells], [at[c] for c in column]))
-    placements = Placements._canonical([row.brick for row in rows], axes)
+    placements = Placements([row.brick for row in rows], axes)
     return Tiling(bricks=tuple(bricks), placements=placements, box=box)
 
 

@@ -9,9 +9,11 @@ only, never rotated.
 
 A `Tiling` holds its placements as columns, a `Placements` view: a
 brick-index column and, per axis, the sorted distinct offsets, each stored
-once as a Fraction, with an index column into them. Construction checks
-bounds once per brick type and axis, and readers work from the columns; a
-`Placement` is built only when a caller reads one.
+once as a Fraction, with an index column into them. The `Placements`
+constructor is the one place that makes this form: every builder hands it
+offsets in any order, repeated or unused, and it sorts and merges them.
+`Tiling` checks bounds once per brick type and axis, and readers work from
+the columns; a `Placement` is built only when a caller reads one.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
@@ -150,7 +152,8 @@ class Placements(Sequence):
     The constructor takes `kinds` and, per axis, a pair (values, index):
     placement k sits at values[index[k]] on that axis. The values may come
     in any order, repeat or go unused; they are brought to the sorted
-    distinct form, so equal placements give equal columns.
+    distinct form, so equal placements give equal columns. The columns must
+    hold ints: floats, bools and other objects raise TypeError.
     """
 
     __slots__ = ("kinds", "axes")
@@ -160,7 +163,7 @@ class Placements(Sequence):
         kinds: Sequence[int],
         axes: Sequence[tuple[Sequence[RationalLike], Sequence[int]]],
     ) -> None:
-        self.kinds = _read_only(kinds)
+        self.kinds = _read_only(kinds, "brick indices")
         if len(self.kinds) and self.kinds.min() < 0:
             raise ValueError("brick indices must be nonnegative")
         self.axes = tuple(_distinct(_rationals(values, "offsets"), index) for values, index in axes)
@@ -168,22 +171,9 @@ class Placements(Sequence):
             if len(index) != len(self.kinds):
                 raise ValueError("every column must have one entry per placement")
 
-    @classmethod
-    def _canonical(
-        cls,
-        kinds: Sequence[int],
-        axes: Sequence[tuple[Sequence[Fraction], Sequence[int]]],
-    ) -> Placements:
-        # Columns already in the sorted distinct form, every value used (as
-        # the slab, oracle and lift builders make them), stored as they are.
-        view = cls.__new__(cls)
-        view.kinds = _read_only(kinds)
-        view.axes = tuple((tuple(values), _read_only(index)) for values, index in axes)
-        return view
-
     def __reduce__(self):
         # Unpickled numpy arrays are writable; rebuild them read-only.
-        return type(self)._canonical, (self.kinds, self.axes)
+        return type(self), (self.kinds, self.axes)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -227,16 +217,15 @@ class Placements(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def _key(self) -> tuple:
-        # Hashable, and equal exactly when the views are.
-        return (
-            self.kinds.tobytes(),
-            tuple((values, index.tobytes()) for values, index in self.axes),
-        )
 
-
-def _read_only(values: Sequence[int]) -> np.ndarray:
-    column = np.asarray(values, dtype=np.intp).reshape(-1)
+def _read_only(values: Sequence[int], name: str) -> np.ndarray:
+    # An int column as a read-only intp array. Floats, bools and objects
+    # (strings, ints past 64 bits) raise TypeError rather than truncate; an
+    # empty column has no entries to check.
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be ints, not {column.dtype}")
+    column = column.astype(np.intp, copy=False).reshape(-1)
     column.flags.writeable = False
     return column
 
@@ -246,11 +235,10 @@ def _distinct(
 ) -> tuple[tuple[Fraction, ...], np.ndarray]:
     # The sorted distinct values that `index` uses, and the index into them.
     # (np.bincount refuses a negative index.)
-    index = _read_only(index)
+    index = _read_only(index, "offset indices")
     used = np.bincount(index, minlength=len(values))
     if len(used) > len(values):
         raise ValueError("offset index out of range")
-    rows = np.flatnonzero(used).tolist()
     # Rounding to a double keeps order (a < b gives float(a) <= float(b)),
     # so (double, value) keys order exactly, comparing Fractions only
     # between values that round alike; past the double range all do.
@@ -258,6 +246,11 @@ def _distinct(
         doubles = [n / q for n, q in map(Fraction.as_integer_ratio, values)]
     except OverflowError:
         doubles = [0.0] * len(values)
+    # Most builders hand in the form already: every value used, and
+    # strictly increasing doubles, so strictly increasing values.
+    if used.all() and all(map(float.__lt__, doubles, doubles[1:])):
+        return values, index
+    rows = np.flatnonzero(used).tolist()
     keys = list(zip(doubles, values))
     order = sorted(rows, key=keys.__getitem__)
     distinct: list[Fraction] = []
@@ -351,7 +344,7 @@ def _misfit(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> str | 
     return f"placement {k} extends outside the box on axis {int(flags[1:, k].argmax())}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tiling:
     """A set of placements of the given brick types inside a box.
 
@@ -390,18 +383,6 @@ class Tiling:
             raise ValueError(error)
         object.__setattr__(self, "bricks", bricks)
         object.__setattr__(self, "placements", placements)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.box == other.box
-            and self.bricks == other.bricks
-            and self.placements == other.placements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bricks, self.box, self.placements._key()))
 
 
 @dataclass(frozen=True)
@@ -492,10 +473,12 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     volume. Boundaries and volumes are compared as exact integers in the
     tiling's per-axis integer frame, one per distinct offset and per brick
     type and distinct offset; the counts are taken from the placements'
-    columns at once. Raises GridTooLarge when the arrangement has more than
-    ARRANGEMENT_CAP cells, or when the offsets' denominators make the frame
-    on an axis more than 2**64 times finer than the box and bricks need (no
-    tiling does: its offsets are integer combinations of brick extents).
+    columns at once, over the axes where the arrangement has more than one
+    cell (every placement spans the others). Raises GridTooLarge when the
+    arrangement has more than ARRANGEMENT_CAP cells, or when the offsets'
+    denominators make the frame on an axis more than 2**64 times finer than
+    the box and bricks need (no tiling does: its offsets are integer
+    combinations of brick extents).
     """
     _, box, bricks, offsets = _integer_frame(t)
     kinds = t.placements.kinds
@@ -515,6 +498,11 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     total = math.prod(shape)
     if total > ARRANGEMENT_CAP:
         raise GridTooLarge(f"arrangement needs {total} cells, cap is {ARRANGEMENT_CAP}")
+    # Every placement spans an axis of one cell, which separates none of
+    # them: count cover over the other axes (at least one), with 2**(their
+    # number) corners per placement rather than 2**d.
+    keep = [ax for ax, s in enumerate(shape) if s > 1] or [0]
+    lo, hi, shape = ([c[ax] for ax in keep] for c in (lo, hi, shape))
     # Cover counts: signed corners of every placement's window of cells,
     # summed along each axis.
     counts = np.zeros([s + 1 for s in shape], dtype=np.int32)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -211,9 +210,10 @@ def _slab_placements(
     # (the last axis varies fastest). An unused brick may not divide the
     # cross axes, so it is neither counted nor built. Offsets are ints in
     # units of 1/D on each axis, D the lcm of the used bricks' denominators
-    # there, so each distinct offset becomes a Fraction once. Placement p
-    # of a grid sits at grid coordinate (p // later) % count on each axis,
-    # `later` the number of cells of the later axes.
+    # there. Placement p of a grid sits at grid coordinate
+    # (p // later) % count on each axis, `later` the number of cells of the
+    # later axes. Each axis gets the grids' runs of offsets one after the
+    # other, as they are; `Placements` sorts and merges them.
     grids = []
     for k, (brick, layers) in enumerate(slabs):
         if layers:
@@ -224,25 +224,21 @@ def _slab_placements(
     if total > cap:
         raise GridTooLarge(f"tiling needs {total} placements, cap is {cap}")
     units = [math.lcm(*(b.dims[i].denominator for _, b, _ in grids)) for i in range(box.dim)]
-    kinds, runs = [], [[] for _ in units]
+    kinds, axes = [], [([], []) for _ in units]
     base = 0
     for k, brick, counts in grids:
         size = math.prod(counts)
         kinds.append(np.full(size, k, dtype=np.intp))
         cell, later = np.arange(size), size
         steps = [ext.numerator * unit // ext.denominator for ext, unit in zip(brick.dims, units)]
-        for i, (step, count) in enumerate(zip(steps, counts)):
+        for i, (step, count, unit) in enumerate(zip(steps, counts, units)):
             later //= count
             start = base if i == axis else 0
-            runs[i].append(([start + j * step for j in range(count)], cell // later % count))
+            values, index = axes[i]
+            index.append(len(values) + cell // later % count)
+            values.extend(Fraction(start + j * step, unit) for j in range(count))
         base += counts[axis] * steps[axis]
-    axes = []
-    for unit, axis_runs in zip(units, runs):
-        cells = sorted(set(chain.from_iterable(run for run, _ in axis_runs)))
-        at = {v: c for c, v in enumerate(cells)}
-        index = [np.array([at[v] for v in run], dtype=np.intp)[j] for run, j in axis_runs]
-        axes.append(([Fraction(v, unit) for v in cells], np.concatenate(index)))
-    return Placements._canonical(np.concatenate(kinds), axes)
+    return Placements(np.concatenate(kinds), [(v, np.concatenate(j)) for v, j in axes])
 
 
 def one_brick_tiling(box: BoxSpec, brick: Brick, cap: float = math.inf) -> Tiling | None:

@@ -35,6 +35,7 @@ from brickbox import (
     verify_tiling_geometric,
     volume,
 )
+from brickbox import geometry
 from brickbox import serialization as ser
 from brickbox.serialization import parse_rational
 from references import interiors_disjoint, rational_gcd
@@ -430,6 +431,32 @@ def test_verify_pinwheel():
     assert verify_tiling_geometric(pinwheel_tiling(make_instance(4))).ok
 
 
+def test_verify_counts_cover_only_over_axes_of_more_than_one_cell(monkeypatch):
+    # Every placement of a lifted tiling spans the added axes, so its
+    # arrangement has the 2-d pinwheel's 3 x 3 cells and 4 corners per
+    # placement to count, however many axes are added (not 2**d).
+    visited = []
+
+    def counted(lo, hi, corners=geometry._corners):
+        for corner in corners(lo, hi):
+            visited.append(corner)
+            yield corner
+
+    monkeypatch.setattr(geometry, "_corners", counted)
+    t = pinwheel_tiling(make_instance(4))
+    for d in (3, 12):
+        visited.clear()
+        assert verify_tiling_geometric(lift_to_dimension(t, d)).ok
+        assert len(visited) == 4, d
+    assert verify_tiling_geometric(lift_to_dimension(t, 40)).ok
+    # A duplicated placement gives the 2-d witness in any dimension.
+    dup = Tiling(bricks=t.bricks, placements=t.placements + (t.placements[2],), box=t.box)
+    want = verify_tiling_geometric(dup)
+    assert want == VerifyOutcome("overlap", (2, 5))
+    for d in (3, 40):
+        assert verify_tiling_geometric(lift_to_dimension(dup, d)) == want, d
+
+
 # ---------------------------------------------------------------------------
 # Differential corpus: the arrangement pass against the pairwise oracle
 # ---------------------------------------------------------------------------
@@ -763,6 +790,19 @@ def _mutant_cases(rng, t, ref):
     return [(Tiling(bricks=t.bricks, placements=r, box=t.box), r) for r in refs]
 
 
+def _respelled(view):
+    """The view rebuilt from its own columns, each axis's values reversed
+    and the first one repeated for one placement."""
+    axes = []
+    for values, index in view.axes:
+        index = len(values) - 1 - index
+        if len(index):
+            index[np.argmax(index == 0)] = len(values)
+            values = (*values[::-1], values[-1])
+        axes.append((values, index))
+    return Placements(view.kinds, axes)
+
+
 COLUMNS_SEED = 20261019
 
 
@@ -783,6 +823,11 @@ def test_columnar_tilings_match_their_placement_tuples_on_seeded_corpus():
             same = Tiling(bricks=u.bricks, placements=r, box=u.box)
             assert same == u and hash(same) == hash(u), case
             assert Tiling(bricks=u.bricks, placements=view, box=u.box) == u, case
+            rebuilt = _respelled(view)
+            again = Tiling(bricks=u.bricks, placements=rebuilt, box=u.box)
+            assert rebuilt == view and hash(rebuilt) == hash(view), case
+            assert again == u and hash(again) == hash(u), case
+            assert "".join(ser.tiling_to_json(again)) == "".join(ser.tiling_to_json(u)), case
             assert ser.tiling_from_obj(ser.tiling_to_obj(u)) == u, case
             # The tuple idioms the tests use.
             assert view == r and list(view) == list(r) and view[:3] == r[:3], case
@@ -808,6 +853,11 @@ def test_placements_view_columns_are_canonical_and_read_only():
     assert view.axes[0][1].tolist() == [1, 0, 1]
     assert view == Placements([1, 0, 1], [((F(1, 2), 3), [1, 0, 1])])
     assert tuple(view) == (Placement(1, (3,)), Placement(0, (F(1, 2),)), Placement(1, (3,)))
+    # Sorted values, one unused or one repeated, are brought to it too.
+    unused = Placements([0, 0], [((1, 2, 3), [2, 0])])
+    assert unused.axes[0][0] == (1, 3) and unused.axes[0][1].tolist() == [1, 0]
+    repeated = Placements([0, 0, 0], [((1, 1, 2), [0, 1, 2])])
+    assert repeated.axes[0][0] == (1, 2) and repeated.axes[0][1].tolist() == [0, 0, 1]
     with pytest.raises(ValueError):
         view.kinds[0] = 0
     with pytest.raises(ValueError):
@@ -821,3 +871,16 @@ def test_placements_view_columns_are_canonical_and_read_only():
         Placements([0, 0], [((1,), [0])])
     with pytest.raises(IndexError):
         view[3]
+    # Columns hold ints: floats and bools are refused, never truncated, and
+    # so are objects; an empty column has nothing to refuse.
+    for kinds, index in (
+        ([0.7, True], [0.9, 1.2]),
+        ([0, 1], [0.9, 1]),
+        ([True, False], [0, 1]),
+        ([0, 1], [False, True]),
+        (["0", "1"], [0, 1]),
+        ([10**30, 0], [0, 1]),
+    ):
+        with pytest.raises(TypeError, match="must be ints"):
+            Placements(kinds, [((0, 1), index)])
+    assert Placements([], [((), [])]) == () == Placements((), [((), ())])

@@ -86,7 +86,7 @@ def test_one_brick_tiling_is_the_cli_grid(capsys, monkeypatch):
     def no_placement(*args):
         raise AssertionError("placement built over the cap")
 
-    monkeypatch.setattr(theorem.Placements, "_canonical", no_placement)
+    monkeypatch.setattr(theorem, "Placements", no_placement)
     with pytest.raises(GridTooLarge, match="tiling needs 12 placements, cap is 11"):
         one_brick_tiling(box, brick, cap=11)
 
