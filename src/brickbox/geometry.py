@@ -153,7 +153,8 @@ class Placements(Sequence):
     placement k sits at values[index[k]] on that axis. The values may come
     in any order, repeat or go unused; they are brought to the sorted
     distinct form, so equal placements give equal columns. The columns must
-    hold ints: floats, bools and other objects raise TypeError.
+    be flat and hold ints: floats, bools (also among ints) and other
+    objects raise TypeError.
     """
 
     __slots__ = ("kinds", "axes")
@@ -220,12 +221,22 @@ class Placements(Sequence):
 
 def _read_only(values: Sequence[int], name: str) -> np.ndarray:
     # An int column as a read-only intp array. Floats, bools and objects
-    # (strings, ints past 64 bits) raise TypeError rather than truncate; an
-    # empty column has no entries to check.
+    # (strings, ints past 64 bits) raise TypeError rather than truncate, and
+    # so does anything but one flat column; an empty column has no entries
+    # to check. numpy reads a bool among ints as an int, so a column that
+    # is not already an array is also checked for bools entry by entry.
     column = np.asarray(values)
+    if column.ndim != 1:
+        raise TypeError(f"{name} must be ints in one flat column, not {column.ndim}-d")
     if column.size and column.dtype.kind not in "iu":
         raise TypeError(f"{name} must be ints, not {column.dtype}")
-    column = column.astype(np.intp, copy=False).reshape(-1)
+    if (
+        column.size
+        and not isinstance(values, np.ndarray)
+        and not {bool, np.bool_}.isdisjoint(map(type, values))
+    ):
+        raise TypeError(f"{name} must be ints, not bool")
+    column = column.astype(np.intp, copy=False)
     column.flags.writeable = False
     return column
 

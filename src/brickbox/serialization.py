@@ -174,7 +174,8 @@ def _json_columns(placements: list, types: int) -> Placements | None:
         except ValueError:
             return None
         axes.append((values, np.fromiter(map(at.__getitem__, column), np.intp, len(column))))
-    return Placements(kinds, axes) if axes else None
+    # The kinds are known ints, so they go in as an array, unscanned for bools.
+    return Placements(np.array(kinds, dtype=np.intp), axes) if axes else None
 
 
 def tiling_from_obj(obj: Any) -> Tiling:

@@ -29,16 +29,22 @@ any size.
 
 `residual_sample` reads each brick type's distinct centers off the
 tiling's placement columns in its per-axis integer frame (see `geometry`),
-so each distinct center is rounded to a double once. Per brick type, it
-factors every phase into one factor per axis, gathered from a table over
-that axis's distinct centers, and works through the
-points in chunks and the placements in blocks so that no working array
-holds more than 2**16 entries (or one table row, for an axis with more
-distinct centers than that): memory stays bounded however many placements
-the tiling has. The products round differently from a single
-exp(2*pi*i * xi.lambda), so a residual's noise digits (around 1e-14), and
-so which point witnesses a noise-level maximum, may differ from that
-formula.
+as exact ints in units of 1/(2D). Per brick type, it factors every phase
+into one factor per axis, gathered from a table over that axis's distinct
+centers, a row per center and a column per point. The rows go in blocks of
+at most 32: a block's first row is a direct exponential of its center and
+each later row is the row before it times the exponential of the gap
+between their centers, computed once per distinct gap. So n centers in
+a progression cost ceil(n/32) + 1 exponentials per point, not n; when the
+gaps are too varied to pay, every row is a direct exponential. Each entry is an exponential times at most 31
+gap factors, so its angle error is of the order of a direct exponential's.
+The points go in chunks and the placements in blocks so that no working
+array holds more than 2**16 entries, padded table rows included (or one
+point's table, for an axis with more distinct centers than that): memory
+stays bounded however many placements the tiling has. The products round
+differently from a single exp(2*pi*i * xi.lambda), so a residual's noise
+digits (around 1e-14 on small tilings), and so which point witnesses a
+noise-level maximum, may differ from that formula.
 
 `random_frequencies` draws the coordinates of all points as one stream,
 point by point and axis by axis. Each coordinate is bit for bit what
@@ -49,6 +55,7 @@ the stream.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,8 +69,13 @@ from .geometry import BoxSpec, Brick, Tiling, _integer_frame, frac
 #: A frequency vector of float coordinates.
 Frequency = Sequence[float]
 
-# Most entries of a working array (1 MB of complex128) in residual_sample.
+# Most entries of a working array (1 MB of complex128) in residual_sample,
+# padded phase-table rows included.
 _BLOCK_ENTRIES = 2**16
+
+# Most rows of a phase-table block: one direct exponential, then running
+# products of gap factors (see `_phase_table`).
+_CHAIN = 32
 
 
 @dataclass(frozen=True)
@@ -164,54 +176,89 @@ def _points_array(points: Sequence[Frequency], d: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(points), float, len(points) * d).reshape(-1, d)
 
 
+def _table_plan(nums: list[int], unit: int) -> tuple[list[float], np.ndarray]:
+    # How `_phase_table` builds the table over the sorted distinct centers
+    # nums[j] / unit: the coefficients to exponentiate (each block's first
+    # center, then each distinct gap between neighbours inside a block, as
+    # doubles), and the coefficient each table row starts from, as blocks
+    # by rows. Blocks hold at most _CHAIN rows, as evenly as they can, so
+    # that the rows padded onto the last block number fewer than the
+    # blocks; row j is center j. When the gaps are too varied to pay,
+    # blocks of one row make every row a direct exponential.
+    n = len(nums)
+    blocks = -(-n // _CHAIN)
+    chain = -(-n // blocks)
+    gaps = list(map(operator.sub, nums[1:], nums))
+    del gaps[chain - 1 :: chain]  # the gaps into a block's first row
+    distinct = dict.fromkeys(gaps)
+    if blocks + len(distinct) >= n:
+        return [x / unit for x in nums], np.arange(n).reshape(n, 1)
+    at = {g: blocks + i for i, g in enumerate(distinct)}
+    source = np.zeros((blocks, chain), dtype=np.intp)
+    source[:, 0] = np.arange(blocks)
+    source[:, 1:].flat[: len(gaps)] = [at[g] for g in gaps]
+    return [x / unit for x in nums[::chain]] + [g / unit for g in distinct], source
+
+
+def _phase_table(xi: np.ndarray, coefficients: list[float], source: np.ndarray) -> np.ndarray:
+    # exp(2j*pi * (xi * c)) for each center c of a `_table_plan`, a row per
+    # center (padded to whole blocks) and a column per point. One direct
+    # exponential per coefficient and point; every other row is the row
+    # before it times one gap factor, so it is its block's first row times
+    # at most _CHAIN - 1 gap factors, and its angle error stays of the
+    # order of a direct exponential's. The running products go one row
+    # position at a time over all blocks: np.multiply.accumulate along the
+    # rows reads them with a whole row's stride and took 4-10 times longer.
+    steps = np.multiply.outer(coefficients, xi)
+    steps *= 2 * np.pi
+    steps = np.exp(steps * 1j)
+    chain = source.shape[1]
+    if chain == 1:
+        return steps
+    table = steps[source]
+    for k in range(1, chain):
+        table[:, k] *= table[:, k - 1]
+    return table.reshape(-1, len(xi))
+
+
 def _phase_sum(
-    pts: np.ndarray, distinct: Sequence[np.ndarray], where: Sequence[np.ndarray]
+    pts: np.ndarray, plans: Sequence[tuple], where: Sequence[np.ndarray]
 ) -> np.ndarray:
     # Sum over placements k of exp(2*pi*i * xi.lambda_k) at every point xi,
-    # where lambda_k is distinct[ax][where[ax][k]] on each axis. Each phase is
-    # a product of one factor per axis, gathered from a table
-    # exp(2j*pi * (xi_j * c)) over that axis's distinct centers c. Points go
-    # in chunks and placements in blocks, so that tables, factors and
-    # products hold at most _BLOCK_ENTRIES entries each (or one row of the
-    # widest table, when an axis has more distinct centers than that).
-    chunk = max(1, _BLOCK_ENTRIES // max(map(len, distinct)))
+    # where lambda_k is, on each axis, the center of row where[ax][k] of
+    # that axis's `_table_plan`. Each phase is a product of one factor per
+    # axis, gathered from that axis's `_phase_table`. Points go in chunks
+    # and placements in blocks, so that tables (padded rows included),
+    # factors and products hold at most _BLOCK_ENTRIES entries each (or one
+    # point's column of the tallest table, when it has more rows than that).
+    chunk = max(1, _BLOCK_ENTRIES // max(source.size for _, source in plans))
     block = max(1, _BLOCK_ENTRIES // chunk)
     total = np.zeros(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], chunk):
-        tables = []
-        for xi, values in zip(pts[lo : lo + chunk].T, distinct):
-            table = np.multiply.outer(xi.astype(complex), values)
-            table *= 2j * np.pi
-            tables.append(np.exp(table, out=table))
+        tables = [_phase_table(xi, *plan) for xi, plan in zip(pts[lo : lo + chunk].T, plans)]
         for first in range(0, len(where[0]), block):
             term = None
-            for table, cols in zip(tables, where):
-                factor = table[:, cols[first : first + block]]
+            for table, rows in zip(tables, where):
+                factor = table[rows[first : first + block]]
                 if term is None:
                     term = factor
                 else:
                     term *= factor
-            total[lo : lo + chunk] += term.sum(axis=1)
+            total[lo : lo + chunk] += term.sum(axis=0)
     return total
 
 
 def _centers(
-    mine: np.ndarray, index: np.ndarray, offsets: list[int], c: int, length: int, unit: int
-) -> tuple[np.ndarray, np.ndarray]:
+    mine: np.ndarray, index: np.ndarray, offsets: list[int], c: int, length: int
+) -> tuple[list[int], np.ndarray]:
     # The sorted distinct centers of one brick type's placements on one
-    # axis, as doubles, and each placement's index into them (what
-    # np.unique(return_inverse=True) gives). A center minus half the box is
-    # (2o + c - L) / 2D in the frame: an int ratio rounds once, to the same
-    # double as float(Fraction). Centers grow with the offsets, and two
-    # offsets may round to one double.
+    # axis, and each placement's row among them. A center minus half the
+    # box is (2o + c - L) / 2D in the frame; this gives the int numerators,
+    # which grow with the offsets, so distinct offsets give distinct ones.
     index = index[mine]
-    rows = np.flatnonzero(np.bincount(index, minlength=len(offsets)))
-    centers = np.array([(2 * offsets[i] + c - length) / (2 * unit) for i in rows.tolist()])
-    new = np.ones(len(centers), dtype=bool)
-    np.not_equal(centers[1:], centers[:-1], out=new[1:])
-    rank = np.zeros(len(offsets), dtype=np.intp)
-    rank[rows] = np.cumsum(new) - 1
-    return centers[new], rank[index]
+    used = np.bincount(index, minlength=len(offsets)) > 0
+    rank = np.cumsum(used) - 1
+    return [2 * offsets[i] + c - length for i in np.flatnonzero(used).tolist()], rank[index]
 
 
 # Overflow shows as a non-finite residual, which raises, not as a warning.
@@ -250,13 +297,12 @@ def residual_sample(
         mine = kinds == k
         if not mine.any():
             continue
-        distinct, where = zip(
-            *(
-                _centers(mine, index, column, c, length, unit)
-                for (_, index), column, c, length, unit in zip(axes, offsets, extents, box, scale)
-            )
-        )
-        total += _phase_sum(pts, distinct, where) * _box_transform_batch(brick.dims, pts)
+        plans, where = [], []
+        for (_, index), column, c, length, unit in zip(axes, offsets, extents, box, scale):
+            nums, rows = _centers(mine, index, column, c, length)
+            plans.append(_table_plan(nums, 2 * unit))
+            where.append(rows)
+        total += _phase_sum(pts, plans, where) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     if not np.isfinite(resid).all():
         raise ValueError("sample frequencies too large for the box: a residual is not finite")

@@ -880,6 +880,14 @@ def test_placements_view_columns_are_canonical_and_read_only():
         ([0, 1], [False, True]),
         (["0", "1"], [0, 1]),
         ([10**30, 0], [0, 1]),
+        # numpy reads a bool among ints as an int: [1, True] would be two
+        # placements of brick 1.
+        ([1, True], [0, 1]),
+        ([0, 1], [0, True]),
+        ((0, np.True_), (0, 1)),
+        ([0, 1], (np.False_, 1)),
+        ([[1, True]], [[0, 1]]),
+        (1, 0),
     ):
         with pytest.raises(TypeError, match="must be ints"):
             Placements(kinds, [((0, 1), index)])

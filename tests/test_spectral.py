@@ -29,8 +29,7 @@ from brickbox import (
     residual_sample,
     volume,
 )
-from brickbox.geometry import _integer_frame
-from brickbox.spectral import SpectralReport, _box_transform_batch, _centers
+from brickbox.spectral import SpectralReport, _box_transform_batch, _phase_table, _table_plan
 from references import box_transform, interiors_disjoint, rational_gcd
 
 # ---------------------------------------------------------------------------
@@ -364,8 +363,8 @@ def _strip(count, kinds):
 
 
 def test_residual_with_all_centers_distinct_matches_dense_reference():
-    # 1100 distinct centers: the 1000 points go in 17 chunks of at most 59,
-    # each with its own 59 x 1100 phase table.
+    # 1100 distinct centers, in 35 blocks of 32 table rows: the 1000 points
+    # go in 18 chunks of at most 58, each with its own 1120 x 58 phase table.
     t = _strip(1100, kinds=1)
     points = random_frequencies(1, 1000, seed=7)
     broken = (
@@ -382,27 +381,57 @@ def test_residual_with_all_centers_distinct_matches_dense_reference():
             assert report.witness == witness
 
 
-def test_centers_are_what_np_unique_gives_for_each_brick_type():
-    # Offsets 1/3 and 1/3 + 2**-62 round to one double center, so they share
-    # a phase-table column, as np.unique over the placements' centers makes
-    # them share it; chunk sizes follow the number of distinct centers.
-    close = F(1, 3) + F(1, 2**62)
-    bricks = (Brick((F(1, 4),)), Brick((F(1, 2),)))
-    offsets = [(0, F(0)), (1, F(1, 4)), (0, F(1, 3)), (0, close), (1, F(1, 4)), (0, F(3, 4))]
-    t = Tiling(
-        bricks=bricks, placements=tuple(Placement(k, (o,)) for k, o in offsets), box=BoxSpec((1,))
-    )
-    scale, box, extents, columns = _integer_frame(t)
-    (_, index), = t.placements.axes
-    merged = 0
-    for k, brick in enumerate(bricks):
-        doubles = [float(o + brick.dims[0] / 2 - F(1, 2)) for kind, o in offsets if kind == k]
-        want, inverse = np.unique(doubles, return_inverse=True)
-        mine = t.placements.kinds == k
-        got, where = _centers(mine, index, columns[0], extents[k][0], box[0], scale[0])
-        assert got.tobytes() == want.tobytes() and where.tolist() == inverse.tolist()
-        merged += len(doubles) - len(want)
-    assert merged == 2  # the two brick-1 copies, and 1/3 with 1/3 + 2**-62
+def _center_sets(rng):
+    """(gap pattern, numerators, unit): sorted distinct centers numerators / unit.
+
+    n = 1, 2, 31, 32, 33, 65 and 1100 centers with equal, two alternating and
+    seeded irregular gaps, on a small unit and on one 2**64 times finer than
+    its box needs (the frame slack), where neighbouring centers round to one
+    double.
+    """
+    for n in (1, 2, 31, 32, 33, 65, 1100):
+        for unit in (2 * 12, 2 * 3 * 2**64):
+            patterns = {
+                "equal": [1] * (n - 1),
+                "alternating": [1, 3] * (n // 2),
+                "irregular": [rng.randint(1, 10**6) for _ in range(n - 1)],
+            }
+            for name, gaps in patterns.items():
+                nums = [-unit // 2 + rng.randint(0, 5)]
+                for gap in gaps[: n - 1]:
+                    nums.append(nums[-1] + gap)
+                yield name, nums, unit
+
+
+def test_phase_table_matches_direct_exponentials():
+    # Each row of a chained table is its block's first row times at most
+    # _CHAIN - 1 gap factors, so it stays within 32 ulps * (1 + |theta|) of
+    # a direct exponential of its center, theta the larger angle of the row
+    # and of its block's first row. Direct rows are bit for bit np.exp.
+    rng = random.Random(RESIDUAL_SEED)
+    xi = np.array(random_frequencies(1, 1000, seed=RESIDUAL_SEED)).ravel()
+    eps = np.finfo(float).eps
+    chained = merged = 0
+    for name, nums, unit in _center_sets(rng):
+        n = len(nums)
+        coefficients, source = _table_plan(nums, unit)
+        blocks, chain = source.shape
+        table = _phase_table(xi, coefficients, source)
+        assert table.shape == (source.size, len(xi)) and n <= source.size < n + blocks
+        centers = np.array([x / unit for x in nums])
+        merged += len(set(centers.tolist())) < n
+        direct = np.exp(2j * np.pi * np.multiply.outer(centers, xi))
+        theta = 2 * np.pi * np.abs(np.multiply.outer(centers, xi))
+        theta = np.maximum(theta, theta[np.arange(n) // chain * chain])
+        error = np.abs(table[:n] - direct)
+        assert (error <= 32 * eps * (1 + theta)).all(), (name, n, unit)
+        if chain == 1:
+            assert len(coefficients) == n and (error == 0).all()
+        else:
+            chained += 1
+        if name == "equal" and n >= 2:
+            assert len(coefficients) == -(-n // 32) + 1, (n, unit)
+    assert chained >= 20 and merged >= 10, (chained, merged)
 
 
 def _unit_squares(side):
