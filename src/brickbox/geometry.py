@@ -139,6 +139,16 @@ class Placement:
             raise ValueError("brick_index must be nonnegative")
         object.__setattr__(self, "offset", _rationals(self.offset, "offset"))
 
+    @classmethod
+    def _unchecked(cls, brick_index: int, offset: tuple[Fraction, ...]) -> Placement:
+        # A placement whose fields are already what __post_init__ makes of
+        # them (an int index and a tuple of Fractions), as a view's columns
+        # hold them: set directly, without checking them again.
+        self = object.__new__(cls)
+        object.__setattr__(self, "brick_index", brick_index)
+        object.__setattr__(self, "offset", offset)
+        return self
+
 
 class Placements(Sequence):
     """The placements of a `Tiling`, in order, held as columns.
@@ -181,7 +191,7 @@ class Placements(Sequence):
 
     def _rows(self, rows: slice) -> Iterator[Placement]:
         offsets = zip(*([values[i] for i in index[rows].tolist()] for values, index in self.axes))
-        return map(Placement, self.kinds[rows].tolist(), offsets)
+        return map(Placement._unchecked, self.kinds[rows].tolist(), offsets)
 
     def __iter__(self) -> Iterator[Placement]:
         return self._rows(slice(None))

@@ -30,7 +30,7 @@ any size.
 `residual_sample` reads each brick type's distinct centers off the
 tiling's placement columns in its per-axis integer frame (see `geometry`),
 as exact ints in units of 1/(2D). Per brick type, it factors every phase
-into one factor per axis, gathered from a table over that axis's distinct
+into one factor per axis, read from a table over that axis's distinct
 centers, a row per center and a column per point. The rows go in blocks of
 at most 32: a block's first row is a direct exponential of its center and
 each later row is the row before it times the exponential of the gap
@@ -38,13 +38,30 @@ between their centers, computed once per distinct gap. So n centers in
 a progression cost ceil(n/32) + 1 exponentials per point, not n; when the
 gaps are too varied to pay, every row is a direct exponential. Each entry is an exponential times at most 31
 gap factors, so its angle error is of the order of a direct exponential's.
-The points go in chunks and the placements in blocks so that no working
-array holds more than 2**16 entries, padded table rows included (or one
-point's table, for an axis with more distinct centers than that): memory
-stays bounded however many placements the tiling has. The products round
-differently from a single exp(2*pi*i * xi.lambda), so a residual's noise
-digits (around 1e-14 on small tilings), and so which point witnesses a
-noise-level maximum, may differ from that formula.
+
+A brick type whose placements have R_j distinct centers on axis j has its
+centers on a lattice of prod_j R_j points. When the lattice has at most
+twice as many points as the type has placements, n (so for every
+certificate tiling, whose types fill their lattice exactly, and for every
+1-d tiling), the type is summed by contraction: its placements are counted
+per lattice point, the counts are multiplied by the table of the longest
+axis (their rows are the lattice lines along it), and each other axis is
+then summed out by a multiply-and-sum with its table. Its work per point
+grows with the lattice, and beyond the tables it holds the counts (at most
+2n entries) and, per point, one value per lattice line. Any other type is
+summed by gathering one table factor per axis and placement, in blocks of
+placements: its lattice can be far larger than n (n centers on a diagonal
+span n**d points), while the gather's time and memory grow only with n.
+The contraction runs in np.einsum without optimize and in elementwise
+numpy, never in BLAS, so its sums round the same way whatever the BLAS
+thread count. The points go in chunks so that no working array holds more
+than 2**16 entries, padded table rows included (or one point's table, for
+an axis with more distinct centers than that, or one point's lattice
+lines, for a lattice with more lines than that): memory stays bounded
+however many placements the tiling has. The products and sums round
+differently from a single exp(2*pi*i * xi.lambda) per placement, so a
+residual's noise digits (around 1e-14 on small tilings), and so which
+point witnesses a noise-level maximum, may differ from that formula.
 
 `random_frequencies` draws the coordinates of all points as one stream,
 point by point and axis by axis. Each coordinate is bit for bit what
@@ -59,6 +76,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Sequence
 
@@ -222,29 +240,71 @@ def _phase_table(xi: np.ndarray, coefficients: list[float], source: np.ndarray) 
 
 
 def _phase_sum(
-    pts: np.ndarray, plans: Sequence[tuple], where: Sequence[np.ndarray]
+    pts: np.ndarray, plans: Sequence[tuple], where: Sequence[np.ndarray], shape: Sequence[int]
 ) -> np.ndarray:
     # Sum over placements k of exp(2*pi*i * xi.lambda_k) at every point xi,
     # where lambda_k is, on each axis, the center of row where[ax][k] of
-    # that axis's `_table_plan`. Each phase is a product of one factor per
-    # axis, gathered from that axis's `_phase_table`. Points go in chunks
-    # and placements in blocks, so that tables (padded rows included),
-    # factors and products hold at most _BLOCK_ENTRIES entries each (or one
-    # point's column of the tallest table, when it has more rows than that).
-    chunk = max(1, _BLOCK_ENTRIES // max(source.size for _, source in plans))
-    block = max(1, _BLOCK_ENTRIES // chunk)
-    total = np.zeros(pts.shape[0], dtype=complex)
+    # that axis's `_table_plan`, whose shape[ax] centers are its first
+    # rows. Placements that fill at least half of their lattice of centers
+    # are summed over it (`_lattice_sum`), others one by one
+    # (`_gathered_sum`); see the module docstring. Points go in chunks so
+    # that tables (padded rows included) and working arrays hold at most
+    # _BLOCK_ENTRIES entries each (or one point's column of the tallest
+    # table, or of the lattice lines, when that has more entries).
+    tallest = max(source.size for _, source in plans)
+    size = math.prod(shape)
+    axes = range(len(shape))
+    if size <= 2 * len(where[0]):
+        # The longest axis goes last, so the contraction's first step leaves
+        # the fewest lattice lines.
+        axes = sorted(axes, key=shape.__getitem__)
+        shape = tuple(shape[ax] for ax in axes)
+        point = np.ravel_multi_index([where[ax] for ax in axes], shape)
+        counts = np.bincount(point, minlength=size).reshape(-1, shape[-1]).astype(float)
+        chunk = max(1, _BLOCK_ENTRIES // max(tallest, len(counts)))
+        summed = partial(_lattice_sum, counts, shape)
+    else:
+        chunk = max(1, _BLOCK_ENTRIES // tallest)
+        summed = partial(_gathered_sum, where, max(1, _BLOCK_ENTRIES // chunk))
+    columns = [(pts[:, ax], plans[ax]) for ax in axes]
+    total = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], chunk):
-        tables = [_phase_table(xi, *plan) for xi, plan in zip(pts[lo : lo + chunk].T, plans)]
-        for first in range(0, len(where[0]), block):
-            term = None
-            for table, rows in zip(tables, where):
-                factor = table[rows[first : first + block]]
-                if term is None:
-                    term = factor
-                else:
-                    term *= factor
-            total[lo : lo + chunk] += term.sum(axis=0)
+        tables = [_phase_table(xi[lo : lo + chunk], *plan) for xi, plan in columns]
+        total[lo : lo + chunk] = summed(tables)
+    return total
+
+
+def _lattice_sum(counts: np.ndarray, shape: Sequence[int], tables: list) -> np.ndarray:
+    # Sum over the lattice of centers of each point's count times phase:
+    # the counts, one row per lattice line along the last axis, times that
+    # axis's table (as float pairs, since the counts are real); then, axis
+    # by axis from the last but one, a multiply-and-sum with the axis's
+    # table. np.einsum without optimize calls no BLAS, whose matmul rounds
+    # differently with the BLAS thread count.
+    points = tables[0].shape[1]
+    last = tables[-1][: shape[-1]].view(float)
+    term = np.einsum("ij,jk->ik", counts, last, optimize=False).view(complex)
+    for table, rows in zip(tables[-2::-1], shape[-2::-1]):
+        if rows == 1:  # so is every axis left (the axes go by length)
+            term *= table[0]
+        else:
+            term = (term.reshape(-1, rows, points) * table[:rows]).sum(axis=1)
+    return term[0]
+
+
+def _gathered_sum(where: Sequence[np.ndarray], block: int, tables: list) -> np.ndarray:
+    # The phase sum as one product of gathered factors per placement, in
+    # blocks of `block` placements.
+    total = 0
+    for first in range(0, len(where[0]), block):
+        term = None
+        for table, rows in zip(tables, where):
+            factor = table[rows[first : first + block]]
+            if term is None:
+                term = factor
+            else:
+                term *= factor
+        total = total + term.sum(axis=0)
     return total
 
 
@@ -272,13 +332,15 @@ def residual_sample(
     every frequency; for a non-tiling it is generically large (at xi = 0 it
     reads off the missing or excess volume exactly).
 
-    Phases come from per-axis tables, summed over chunks of points and
-    blocks of placements (see the module docstring), so working memory does
-    not grow with points times placements. Raises GridTooLarge when the
-    tiling's offsets are too fine for its integer frame, as
-    `verify_tiling_geometric` does, and ValueError when a sample point or
-    a residual is not finite (frequencies too large for the box overflow
-    its transforms), so no report ever holds NaN.
+    Phases come from per-axis tables, summed over chunks of points, by
+    contraction over each brick type's lattice of centers or, when its
+    placements fill less than half of it, over blocks of placements (see
+    the module docstring), so working memory does not grow with points
+    times placements. Raises GridTooLarge when the tiling's offsets are
+    too fine for its integer frame, as `verify_tiling_geometric` does, and
+    ValueError when a sample point or a residual is not finite (frequencies
+    too large for the box overflow its transforms), so no report ever
+    holds NaN.
     """
     if not points:
         raise ValueError("need at least one sample point")
@@ -297,12 +359,13 @@ def residual_sample(
         mine = kinds == k
         if not mine.any():
             continue
-        plans, where = [], []
+        plans, where, shape = [], [], []
         for (_, index), column, c, length, unit in zip(axes, offsets, extents, box, scale):
             nums, rows = _centers(mine, index, column, c, length)
             plans.append(_table_plan(nums, 2 * unit))
             where.append(rows)
-        total += _phase_sum(pts, plans, where) * _box_transform_batch(brick.dims, pts)
+            shape.append(len(nums))
+        total += _phase_sum(pts, plans, where, shape) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     if not np.isfinite(resid).all():
         raise ValueError("sample frequencies too large for the box: a residual is not finite")

@@ -411,16 +411,18 @@ def test_tiling_io_matches_per_item_references_on_seeded_corpus(tmp_path, capsys
 
 def test_certify_path_builds_no_placement(monkeypatch):
     # A certificate tiling goes through JSON, both verifiers and the SVG
-    # writer as columns: not one Placement is built on the way.
+    # writer as columns: not one Placement is built on the way, checked or
+    # (as rows read from a view are) unchecked.
     cases = [
         (BoxSpec((7, F(7, 2))), Brick((F(3, 2), F(1, 2))), Brick((2, F(7, 6)))),
         (BoxSpec((2, 3, F(7, 3))), Brick((1, F(3, 2), F(2, 3))), Brick((2, 1, 1))),
     ]
 
-    def refuse(self):
-        raise AssertionError(f"Placement built: {self!r}")
+    def refuse(self, *fields):
+        raise AssertionError(f"Placement built: {fields or self!r}")
 
     monkeypatch.setattr(geometry.Placement, "__post_init__", refuse)
+    monkeypatch.setattr(geometry.Placement, "_unchecked", classmethod(refuse))
     for box, a, b in cases:
         cert = decide_two_brick(box, a, b).certificate
         assert cert.m and cert.n  # both bricks are used
