@@ -108,7 +108,9 @@ def make_instance(R: int) -> ThreeBrickInstance:
     if not isinstance(R, int) or isinstance(R, bool):
         raise ValueError("R must be an integer")
     if R < 4:
-        raise ValueError(f"R must be at least 4; R={R} admits a proper-subset split")
+        # R = 2, 3 are real instances that split; below that a brick has no extent.
+        reason = f"; R={R} admits a proper-subset split" if R >= 2 else ""
+        raise ValueError(f"R must be at least 4{reason}")
     return ThreeBrickInstance(R)
 
 

@@ -34,6 +34,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
@@ -156,8 +157,9 @@ class Placements(Sequence):
     `kinds` holds each placement's brick index. `axes` holds, per axis, the
     sorted distinct offsets there, each stored once, and each placement's
     index into them; all are read-only. `len` is O(1), and a `Placement` is
-    built only when one is read. A view equals the tuple of the same
-    placements, and slices and `+` give tuples, so it reads like one.
+    built only when one is read by index or iteration. Equality, hash and
+    repr read the columns: a view equals only a view of the same columns,
+    never a tuple, and prints as the constructor call that rebuilds it.
 
     The constructor takes `kinds` and, per axis, a pair (values, index):
     placement k sits at values[index[k]] on that axis. The values may come
@@ -197,9 +199,7 @@ class Placements(Sequence):
         return self._rows(slice(None))
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self._rows(k))
-        k = range(len(self))[k]
+        k = range(len(self))[operator.index(k)]
         return next(self._rows(slice(k, k + 1)))
 
     def __eq__(self, other: object) -> bool:
@@ -212,21 +212,16 @@ class Placements(Sequence):
                     for (p, i), (q, j) in zip(self.axes, other.axes)
                 )
             )
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other):
-        return tuple(self) + other if isinstance(other, (tuple, Placements)) else NotImplemented
-
-    def __radd__(self, other):
-        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+        # The constructor's canonical form (intp columns, sorted distinct
+        # values) makes equal views hash alike.
+        return hash((self.kinds.tobytes(), tuple((p, i.tobytes()) for p, i in self.axes)))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        axes = [(values, index.tolist()) for values, index in self.axes]
+        return f"{type(self).__name__}({self.kinds.tolist()!r}, {axes!r})"
 
 
 def _read_only(values: Sequence[int], name: str) -> np.ndarray:

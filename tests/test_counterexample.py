@@ -70,9 +70,11 @@ def test_make_instance_members():
 
 
 def test_make_instance_rejects_small_R():
-    for bad in (3, 2, 1, 0, -4):
-        with pytest.raises(ValueError):
-            make_instance(bad)
+    # Only R = 2, 3 are instances, and they split; below 2 a brick has no extent.
+    for R in (-4, -3, 0, 1, 2, 3):
+        reason = f"; R={R} admits a proper-subset split" if R >= 2 else ""
+        with pytest.raises(ValueError, match=f"^R must be at least 4{reason}$"):
+            make_instance(R)
     with pytest.raises(ValueError):
         make_instance("4")
 

@@ -429,7 +429,8 @@ def test_certify_path_builds_no_placement(monkeypatch):
         built = certificate_to_tiling(cert, box, a, b)
         t = ser.tiling_from_obj(json.loads(json.dumps(ser.tiling_to_obj(built))))
         assert len(t.placements) == len(built.placements) > 10
-        assert t == built
+        assert t == built and hash(t) == hash(built)
+        repr(t)
         assert "".join(ser.tiling_to_json(t)) == json.dumps(ser.tiling_to_obj(t), indent=2) + "\n"
         assert verify_tiling_geometric(t).ok
         points = random_frequencies(box.dim, 200, seed=len(t.placements))

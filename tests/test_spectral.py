@@ -183,17 +183,18 @@ def test_residual_noise_for_valid_tiling():
 
 def test_residual_at_origin_reads_missing_volume():
     t = half_columns()
-    broken = Tiling(bricks=t.bricks, placements=t.placements[:1], box=t.box)
+    broken = Tiling(bricks=t.bricks, placements=tuple(t.placements)[:1], box=t.box)
     report = residual_sample(broken, [(0.0, 0.0)])
     assert report.max_abs_residual == pytest.approx(0.5, abs=1e-12)
 
 
 def test_removing_any_placement_is_detected_at_origin():
     t = pinwheel_tiling(make_instance(4))
-    for drop in range(len(t.placements)):
-        kept = t.placements[:drop] + t.placements[drop + 1 :]
+    placements = tuple(t.placements)
+    for drop, p in enumerate(placements):
+        kept = placements[:drop] + placements[drop + 1 :]
         broken = Tiling(bricks=t.bricks, placements=kept, box=t.box)
-        removed = volume(t.bricks[t.placements[drop].brick_index])
+        removed = volume(t.bricks[p.brick_index])
         report = residual_sample(broken, [(0.0, 0.0)])
         assert report.max_abs_residual == pytest.approx(float(removed), abs=1e-12)
 
@@ -377,10 +378,11 @@ def test_residual_with_all_centers_distinct_matches_dense_reference():
     # go in 18 chunks of at most 58, each with its own 1120 x 58 phase table.
     t = _strip(1100, kinds=1)
     points = random_frequencies(1, 1000, seed=7)
+    placements = tuple(t.placements)
     broken = (
-        Tiling(bricks=t.bricks, placements=t.placements[:-1], box=t.box),
-        Tiling(bricks=t.bricks, placements=t.placements + t.placements[700:701], box=t.box),
-        Tiling(bricks=t.bricks, placements=t.placements[1:] + (Placement(0, (F(1, 500),)),), box=t.box),
+        Tiling(bricks=t.bricks, placements=placements[:-1], box=t.box),
+        Tiling(bricks=t.bricks, placements=placements + placements[700:701], box=t.box),
+        Tiling(bricks=t.bricks, placements=placements[1:] + (Placement(0, (F(1, 500),)),), box=t.box),
     )
     for tiling in (t, *broken):
         report = residual_sample(tiling, points)
