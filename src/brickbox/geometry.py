@@ -13,7 +13,9 @@ once as a Fraction, with an index column into them. The `Placements`
 constructor is the one place that makes this form: every builder hands it
 offsets in any order, repeated or unused, and it sorts and merges them.
 `Tiling` checks bounds once per brick type and axis, and readers work from
-the columns; a `Placement` is built only when a caller reads one.
+the columns; a `Placement` is built only when a caller reads one. The first
+bad placement is named by a plain scan of the rows, run only when the
+column check fails.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,8 +193,10 @@ class Placements(Sequence):
         return len(self.kinds)
 
     def _rows(self, rows: slice) -> Iterator[Placement]:
-        offsets = zip(*([values[i] for i in index[rows].tolist()] for values, index in self.axes))
-        return map(Placement._unchecked, self.kinds[rows].tolist(), offsets)
+        kinds = self.kinds[rows].tolist()
+        columns = [[values[i] for i in index[rows].tolist()] for values, index in self.axes]
+        # A view of no axes still has a row, of no coordinates, per placement.
+        return map(Placement._unchecked, kinds, zip(*columns) if columns else [()] * len(kinds))
 
     def __iter__(self) -> Iterator[Placement]:
         return self._rows(slice(None))
@@ -250,10 +253,12 @@ def _distinct(
     values: tuple[Fraction, ...], index: Sequence[int]
 ) -> tuple[tuple[Fraction, ...], np.ndarray]:
     # The sorted distinct values that `index` uses, and the index into them.
-    # (np.bincount refuses a negative index.)
     index = _read_only(index, "offset indices")
-    used = np.bincount(index, minlength=len(values))
-    if len(used) > len(values):
+    try:
+        used = np.bincount(index, minlength=len(values))
+    except ValueError:  # np.bincount refuses a negative index
+        used = None
+    if used is None or len(used) > len(values):
         raise ValueError("offset index out of range")
     # Rounding to a double keeps order (a < b gives float(a) <= float(b)),
     # so (double, value) keys order exactly, comparing Fractions only
@@ -294,25 +299,12 @@ def _members(values: Iterable, cls: type, name: str) -> tuple:
     return values
 
 
-def _placement_columns(
-    placements: tuple[Placement, ...], d: int, types: int
-) -> tuple[Placements, str | None]:
-    # Columns of the placements before the first one with the wrong number
-    # of coordinates or an unknown brick type, and that one's error. Each
-    # offset object is compared once however many placements share it.
-    bad = next(
-        (k for k, p in enumerate(placements) if len(p.offset) != d or p.brick_index >= types),
-        len(placements),
-    )
-    error = None
-    if bad < len(placements):
-        p = placements[bad]
-        error = (
-            f"placement {bad} has {len(p.offset)} coordinates, box has {d}"
-            if len(p.offset) != d
-            else f"placement {bad} references unknown brick type {p.brick_index}"
-        )
-        placements = placements[:bad]
+def _placement_columns(placements: tuple[Placement, ...], d: int) -> Placements:
+    # The columns of placements that each have d coordinates and a known
+    # brick type. Each offset object is compared once however many
+    # placements share it. Brick indices and offset indices are ints, never
+    # bools, so the columns go in as arrays, unscanned for bools.
+    n = len(placements)
     offsets = [p.offset for p in placements]
     axes = []
     for ax in range(d):
@@ -320,14 +312,15 @@ def _placement_columns(
         ids = list(map(id, column))
         first = dict(zip(ids, column))
         at = {key: k for k, key in enumerate(first)}
-        axes.append((tuple(first.values()), [at[key] for key in ids]))
-    return Placements([p.brick_index for p in placements], axes), error
+        axes.append((tuple(first.values()), np.fromiter(map(at.__getitem__, ids), np.intp, n)))
+    return Placements(np.fromiter((p.brick_index for p in placements), np.intp, n), axes)
 
 
 def _fits(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> bool:
-    # Every placement names a brick type and lies inside the box: on each
-    # axis the least offset is at least 0 and, per brick type, the greatest
-    # offset it sits at is at most L - c.
+    # Whether every placement of a non-empty view names a brick type and
+    # lies inside the box: on each axis the least offset is at least 0 and,
+    # per brick type, the greatest offset it sits at is at most L - c. It
+    # does not say which placement fails; `_first_error` does.
     if view.kinds.max() >= len(bricks):
         return False
     top = np.empty(len(bricks), dtype=np.intp)
@@ -341,23 +334,21 @@ def _fits(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> bool:
     return True
 
 
-def _misfit(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> str | None:
-    # The first placement, in order, with an unknown brick type or outside
-    # the box. Brick k fits on an axis at offset o iff 0 <= o <= L - c_k: a
-    # run of that axis's sorted distinct offsets, found once per brick type.
-    kinds = view.kinds
-    if not len(kinds) or _fits(view, bricks, box):
-        return None
-    known = np.minimum(kinds, max(len(bricks) - 1, 0))
-    flags = [kinds >= len(bricks)]
-    for ax, (values, index) in enumerate(view.axes):
-        ends = [bisect_right(values, box.dims[ax] - b.dims[ax]) for b in bricks] or [0]
-        flags.append((index < bisect_left(values, 0)) | (index >= np.array(ends)[known]))
-    flags = np.vstack(flags)
-    k = int(flags.any(axis=0).argmax())
-    if flags[0, k]:
-        return f"placement {k} references unknown brick type {kinds[k]}"
-    return f"placement {k} extends outside the box on axis {int(flags[1:, k].argmax())}"
+def _first_error(rows: Iterable[Placement], bricks: tuple[Brick, ...], box: BoxSpec) -> str:
+    # The error of the first placement, in order, with the wrong number of
+    # coordinates, an unknown brick type or an offset outside
+    # 0 <= o <= L - c (on the first such axis). Called only once a column
+    # check has failed, so some placement is bad.
+    d = box.dim
+    rooms = [[length - c for length, c in zip(box.dims, b.dims)] for b in bricks]
+    for k, p in enumerate(rows):
+        if len(p.offset) != d:
+            return f"placement {k} has {len(p.offset)} coordinates, box has {d}"
+        if p.brick_index >= len(bricks):
+            return f"placement {k} references unknown brick type {p.brick_index}"
+        for ax, (o, room) in enumerate(zip(p.offset, rooms[p.brick_index])):
+            if not 0 <= o <= room:
+                return f"placement {k} extends outside the box on axis {ax}"
 
 
 @dataclass(frozen=True)
@@ -368,9 +359,11 @@ class Tiling:
     `Placements` view; it is held as a `Placements` view. Construction
     validates types (TypeError naming the field) and structure (dimensions
     agree, indices are in range, every placed brick lies inside the box;
-    ValueError naming the first bad placement). Whether the placements
-    actually tile the box is decided by `verify_tiling_geometric`. Two
-    tilings are equal when their bricks, boxes and placement sequences are.
+    ValueError naming the first bad placement). Bounds are checked on the
+    columns; only when that check fails are the rows scanned, in order, for
+    the first bad placement. Whether the placements actually tile the box
+    is decided by `verify_tiling_geometric`. Two tilings are equal when
+    their bricks, boxes and placement sequences are.
     """
 
     bricks: tuple[Brick, ...]
@@ -381,24 +374,23 @@ class Tiling:
         bricks = _members(self.bricks, Brick, "bricks")
         if not isinstance(self.box, BoxSpec):
             raise TypeError(f"box must be a BoxSpec: {self.box!r}")
-        placements, error = self.placements, None
+        placements = self.placements
         if not isinstance(placements, Placements):
             placements = _members(placements, Placement, "placements")
         d = self.box.dim
         for k, b in enumerate(bricks):
             if b.dim != d:
                 raise ValueError(f"brick {k} has dimension {b.dim}, box has {d}")
+        view = placements
         if isinstance(placements, tuple):
-            placements, error = _placement_columns(placements, d, len(bricks))
-        elif len(placements.axes) != d:
-            if len(placements):
-                raise ValueError(f"placement 0 has {len(placements.axes)} coordinates, box has {d}")
-            placements = Placements((), [((), ())] * d)
-        error = _misfit(placements, bricks, self.box) or error
-        if error is not None:
-            raise ValueError(error)
+            malformed = any(len(p.offset) != d or p.brick_index >= len(bricks) for p in placements)
+            view = None if malformed else _placement_columns(placements, d)
+        elif not len(placements):
+            view = Placements((), [((), ())] * d)
+        if view is None or len(view.axes) != d or (len(view) and not _fits(view, bricks, self.box)):
+            raise ValueError(_first_error(placements, bricks, self.box))
         object.__setattr__(self, "bricks", bricks)
-        object.__setattr__(self, "placements", placements)
+        object.__setattr__(self, "placements", view)
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,10 @@ def residual_sample(
     pts = _points_array(points, t.box.dim)
     if not np.isfinite(pts).all():
         raise ValueError("sample points must be finite")
-    box_volume = math.prod(float(length) for length in t.box.dims)
+    try:
+        box_volume = math.prod(float(length) for length in t.box.dims)
+    except OverflowError:  # an extent above double range
+        box_volume = math.inf
     if box_volume == 0.0:
         raise ValueError("box volume below double range")
     if math.isinf(box_volume):

@@ -192,14 +192,10 @@ def validate_certificate(
     if cert.cut != cert.m * a.dims[axis]:
         raise ValueError("cut position does not match m * a_axis")
     # First failing cross axis; on the same axis brick a is reported first.
-    misfit = min(
-        [(i, "a") for i in _bad_axes(box, a) if cert.m > 0 and i != axis]
-        + [(i, "b") for i in _bad_axes(box, b) if cert.n > 0 and i != axis],
-        default=None,
-    )
-    if misfit is not None:
-        i, name = misfit
-        raise ValueError(f"brick {name} does not divide the box on cross axis {i}")
+    for i, length in enumerate(box.dims):
+        for name, brick, layers in (("a", a, cert.m), ("b", b, cert.n)):
+            if i != axis and layers and (length / brick.dims[i]).denominator != 1:
+                raise ValueError(f"brick {name} does not divide the box on cross axis {i}")
 
 
 def _slab_placements(

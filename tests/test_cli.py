@@ -136,7 +136,17 @@ def test_invalid_input_exits_two(capsys, tmp_path):
     assert code == 0
     code, out, err = run(capsys, "spectral", "--input", str(huge), "--samples", "3")
     assert (code, out) == (2, "")
-    assert err.startswith("invalid input:")
+    assert err == "invalid input: box volume above double range\n"
+    # offsets of 3 coordinates in a 2-d box, all alike, reach `Tiling` as columns
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "box": {"dims": ["1", "1"]},
+        "bricks": [{"dims": ["1/2", "1"]}],
+        "placements": [{"brick": 0, "offset": [o, "0", "0"]} for o in ("0", "1/2")],
+    }))
+    code, out, err = run(capsys, "verify", "--input", str(wide))
+    assert (code, out) == (2, "")
+    assert err == "invalid input: placement 0 has 3 coordinates, box has 2\n"
     # so can volumes outside it: these boxes are half empty, but as floats
     # the volume and the residual would read 0.0 (below) or NaN (above)
     half_empty = tmp_path / "half_empty.json"

@@ -423,6 +423,18 @@ def test_tiling_construction_validates():
         Tiling(bricks=(brick,), placements=(Placement(0, (0, 0, 0)),), box=box)
     with pytest.raises(ValueError):
         Tiling(bricks=(Brick((1, 1, 1)),), placements=(), box=box)
+    # A view may name a brick type past the list; the rows name the first.
+    view = Placements([0, 1], [((0,), [0, 0]), ((0,), [0, 0])])
+    with pytest.raises(ValueError, match="^placement 1 references unknown brick type 1$"):
+        Tiling(bricks=(brick,), placements=view, box=box)
+    view = Placements([1], [((0,), [0]), ((0,), [0])])
+    with pytest.raises(ValueError, match="^placement 0 references unknown brick type 1$"):
+        Tiling(bricks=(brick,), placements=view, box=box)
+    # A view of no axes has a row of no coordinates per placement.
+    view = Placements([0, 0], [])
+    assert tuple(view) == (Placement(0, ()),) * 2
+    with pytest.raises(ValueError, match="^placement 0 has 0 coordinates, box has 2$"):
+        Tiling(bricks=(brick,), placements=view, box=box)
 
 
 def test_verify_pinwheel():
@@ -867,6 +879,15 @@ def test_placements_view_columns_are_canonical_and_read_only():
     assert unused.axes[0][0] == (1, 3) and unused.axes[0][1].tolist() == [1, 0]
     repeated = Placements([0, 0, 0], [((1, 1, 2), [0, 1, 2])])
     assert repeated.axes[0][0] == (1, 2) and repeated.axes[0][1].tolist() == [0, 0, 1]
+    # Values past double range all round alike, and are ordered as Fractions.
+    huge = 10**400
+    bricks, box = (Brick((huge,)), Brick((2 * huge,))), BoxSpec((4 * huge,))
+    shuffled = Placements([0, 0, 1], [((3 * huge, 0, huge), [0, 1, 2])])
+    ordered = Placements([0, 0, 1], [((0, huge, 3 * huge), [2, 0, 1])])
+    assert shuffled == ordered and shuffled.axes[0][0] == (0, huge, 3 * huge)
+    tilings = [Tiling(bricks=bricks, placements=v, box=box) for v in (shuffled, ordered)]
+    assert tilings[0] == tilings[1] and verify_tiling_geometric(tilings[0]).ok
+    assert verify_tiling_geometric(tilings[1]).ok
     with pytest.raises(ValueError):
         view.kinds[0] = 0
     with pytest.raises(ValueError):
@@ -874,8 +895,11 @@ def test_placements_view_columns_are_canonical_and_read_only():
     copy = pickle.loads(pickle.dumps(view))
     assert copy == view and not copy.kinds.flags.writeable
     assert not any(index.flags.writeable for _, index in copy.axes)
-    with pytest.raises(ValueError, match="offset index out of range"):
-        Placements([0], [((1,), [1])])
+    for index in ([1], [-1]):
+        with pytest.raises(ValueError, match="offset index out of range"):
+            Placements([0], [((1,), index)])
+    with pytest.raises(ValueError, match="brick indices must be nonnegative"):
+        Placements([-1], [((1,), [0])])
     with pytest.raises(ValueError, match="one entry per placement"):
         Placements([0, 0], [((1,), [0])])
     with pytest.raises(IndexError):

@@ -235,6 +235,8 @@ def test_residual_sample_input_validation():
         residual_sample(half_columns(), [])
     with pytest.raises(ValueError):
         residual_sample(half_columns(), [(0.0,)])
+    with pytest.raises(ValueError, match="sample points and box have different dimensions"):
+        residual_sample(half_columns(), [iter((0.0, 0.0))])
     with pytest.raises(ValueError):
         SpectralReport(samples=0, max_abs_residual=0.0)
     # Half-empty boxes whose float volume, and so whose residual, reads 0.0:
@@ -244,6 +246,7 @@ def test_residual_sample_input_validation():
         ((F(1, 10**400), F(1)), "below double range"),
         ((F(1, 10**200), F(1, 10**200)), "below double range"),
         ((F(10**200), F(10**200)), "above double range"),
+        ((F(10**400), F(1)), "above double range"),
     ):
         half_empty = Tiling(
             bricks=(Brick((box_dims[0] / 2, box_dims[1])),),
