@@ -41,7 +41,7 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
-#: Most `spectral --samples`; a sample costs about 200 bytes while it is checked.
+#: Most `spectral --samples`; a sample costs about 90 bytes while it is checked.
 SAMPLE_CAP = 10**6
 
 

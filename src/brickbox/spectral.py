@@ -64,7 +64,9 @@ residual's noise digits (around 1e-14 on small tilings), and so which
 point witnesses a noise-level maximum, may differ from that formula.
 
 `random_frequencies` draws the coordinates of all points as one stream,
-point by point and axis by axis. Each coordinate is bit for bit what
+point by point and axis by axis, and returns them as one read-only float
+array of shape (count, dim), a row per point, which `residual_sample`
+reads as is. Each coordinate is bit for bit what
 `random.Random(seed).uniform(-bound, bound)` returns at that position of
 the stream.
 """
@@ -77,7 +79,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat, starmap
 from typing import Sequence
 
 import numpy as np
@@ -130,19 +132,19 @@ class KeyObservationWitness:
     point: tuple[Fraction, ...]
 
 
+@np.errstate(invalid="ignore")
 def _box_transform_batch(dims: Sequence[Fraction], pts: np.ndarray) -> np.ndarray:
     # The real transform of the centered box with extents `dims` at each row
     # of `pts`: its volume at 0, and 0 where some xi_j is a nonzero multiple
-    # of 1/c_j.
+    # of 1/c_j. Each axis runs the formula over all points, where 0/0 reads
+    # nan at xi_j = 0, then sets c_j there if any xi_j is 0.
     out = np.ones(pts.shape[0])
-    for ax, c in enumerate(dims):
+    for c, x in zip(dims, pts.T):
         cf = float(c)
-        x = pts[:, ax]
-        factor = np.full(x.shape, cf)
-        nz = x != 0.0
-        xnz = x[nz]
-        factor[nz] = np.sin(np.pi * cf * xnz) / (np.pi * xnz)
-        out = out * factor
+        factor = np.sin(np.pi * cf * x) / (np.pi * x)
+        if np.count_nonzero(x) < len(x):
+            factor[x == 0.0] = cf
+        out *= factor
     return out
 
 
@@ -162,29 +164,41 @@ def in_zero_set_Z(xi: Sequence, box: BoxSpec) -> bool:
     return False
 
 
-def random_frequencies(
-    dim: int, count: int, seed: int, bound: float = 10.0
-) -> list[tuple[float, ...]]:
+def random_frequencies(dim: int, count: int, seed: int, bound: float = 10.0) -> np.ndarray:
     """`count` frequency vectors drawn uniformly from [-bound, bound]^dim.
 
-    The bound must be finite and positive: bound 0 samples only the origin,
-    where the residual checks volume alone. The dimension must be at least 1.
+    Returns a read-only float64 array of shape (count, dim), a row per
+    vector. The bound must be finite and positive: bound 0 samples only the
+    origin, where the residual checks volume alone. The dimension must be
+    at least 1 and the count at least 0.
     """
     if not (math.isfinite(bound) and bound > 0):
         raise ValueError(f"frequency bound must be finite and positive: {bound}")
     if dim < 1:
         raise ValueError(f"frequency dimension must be at least 1: {dim}")
-    # Random.uniform(a, b) is a + (b - a) * random(); drawing flat with the
-    # bound method gives the same values without a Python call per draw.
+    if count < 0:
+        raise ValueError(f"frequency count must be nonnegative: {count}")
+    # Random.uniform(a, b) is a + (b - a) * random(): the same two IEEE
+    # operations over the whole stream give the same values. A bound near
+    # the double maximum makes b - a infinite, so a draw reads inf (or nan
+    # for a zero draw) in both, without a warning.
     draw = random.Random(seed).random
-    lo, width = -bound, 2 * bound  # b - a, exactly
-    flat = [lo + width * draw() for _ in range(dim * count)]
-    return list(zip(*[iter(flat)] * dim))
+    flat = np.fromiter(starmap(draw, repeat((), dim * count)), float, dim * count)
+    lo, width = float(-bound), float(2 * bound)  # b - a, exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = (lo + width * flat).reshape(count, dim)
+    points.flags.writeable = False
+    return points
 
 
-def _points_array(points: Sequence[Frequency], d: int) -> np.ndarray:
-    # The points as rows of doubles, read in one pass once every point is
-    # known to have d coordinates (np.asarray would probe each one's shape).
+def _points_array(points: Sequence[Frequency] | np.ndarray, d: int) -> np.ndarray:
+    # The points as rows of doubles. A real (n, d) array is read as is; any
+    # other sequence in one pass once every point is known to have d
+    # coordinates (np.asarray would probe each one's shape).
+    if isinstance(points, np.ndarray) and points.ndim == 2 and points.dtype.kind in "fiu":
+        if points.shape[1] != d:
+            raise ValueError("sample points and box have different dimensions")
+        return points.astype(float, copy=False)
     try:
         widths = set(map(len, points))
     except TypeError:
@@ -324,13 +338,18 @@ def _centers(
 # Overflow shows as a non-finite residual, which raises, not as a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def residual_sample(
-    t: Tiling, points: Sequence[Frequency], seed: int | None = None
+    t: Tiling, points: Sequence[Frequency] | np.ndarray, seed: int | None = None
 ) -> SpectralReport:
     """Sample |sum over types of phase_sum * brick_transform - box_transform|.
 
     For a tiling accepted by the geometric verifier the residual is noise at
     every frequency; for a non-tiling it is generically large (at xi = 0 it
     reads off the missing or excess volume exactly).
+
+    `points` is an (n, d) real array, read without a pass per point, or
+    any sequence of n points of d coordinates each. The witness is the
+    point as evaluated, a tuple of Python floats, whatever number type the
+    points came in.
 
     Phases come from per-axis tables, summed over chunks of points, by
     contraction over each brick type's lattice of centers or, when its
@@ -342,7 +361,7 @@ def residual_sample(
     too large for the box overflow its transforms), so no report ever
     holds NaN.
     """
-    if not points:
+    if len(points) == 0:
         raise ValueError("need at least one sample point")
     pts = _points_array(points, t.box.dim)
     if not np.isfinite(pts).all():
@@ -376,7 +395,7 @@ def residual_sample(
     return SpectralReport(
         samples=len(points),
         max_abs_residual=float(resid[peak]),
-        witness=tuple(points[peak]),
+        witness=tuple(pts[peak].tolist()),
         seed=seed,
     )
 

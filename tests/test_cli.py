@@ -208,8 +208,18 @@ def test_spectral_bound_must_be_finite_and_positive(capsys, tmp_path):
         assert err.startswith("invalid input:")
 
 
+def test_spectral_needs_a_positive_sample_count(capsys, tmp_path):
+    # A negative count is refused before any draw, and a count of 0 leaves
+    # no point to check.
+    half = _half_covered_unit_box(tmp_path)
+    for samples, message in (("-1", "count must be nonnegative"), ("0", "at least one sample")):
+        code, out, err = run(capsys, "spectral", "--input", half, "--samples", samples)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:") and message in err
+
+
 def test_spectral_samples_are_capped_before_any_point_is_drawn(capsys, tmp_path, monkeypatch):
-    # Each sample costs about 200 bytes; a count over the cap exits 3 before
+    # Each sample costs about 90 bytes; a count over the cap exits 3 before
     # random_frequencies could allocate anything.
     def no_draw(*args):
         raise AssertionError("points drawn above the sample cap")

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import random
 import struct
@@ -32,6 +33,7 @@ from brickbox import (
     volume,
 )
 from brickbox import spectral
+from brickbox.serialization import spectral_report_to_obj
 from brickbox.spectral import SpectralReport, _box_transform_batch, _phase_table, _table_plan
 from references import box_transform, interiors_disjoint, rational_gcd
 
@@ -230,6 +232,24 @@ def test_residual_records_seed_and_witness():
     assert report.witness in points
 
 
+def test_witness_is_the_evaluated_point_as_floats():
+    # Whatever number type the caller passes, the witness is the point as
+    # evaluated, in Python floats, so the report serializes.
+    t = half_columns()
+    cases = (
+        ([(F(1, 3), F(1, 7))], (1 / 3, 1 / 7)),
+        ([(np.float32(0.1), np.float32(0.25))], (float(np.float32(0.1)), 0.25)),
+        (np.array([[0.1, 0.25]], dtype=np.float32), (float(np.float32(0.1)), 0.25)),
+        (np.array([[1, 2]]), (1.0, 2.0)),
+    )
+    for points, witness in cases:
+        report = residual_sample(t, points)
+        assert report.witness == witness
+        assert all(type(x) is float for x in report.witness)
+        obj = json.loads(json.dumps(spectral_report_to_obj(report)))
+        assert obj["witness"] == list(witness)
+
+
 def test_residual_sample_input_validation():
     with pytest.raises(ValueError):
         residual_sample(half_columns(), [])
@@ -237,6 +257,14 @@ def test_residual_sample_input_validation():
         residual_sample(half_columns(), [(0.0,)])
     with pytest.raises(ValueError, match="sample points and box have different dimensions"):
         residual_sample(half_columns(), [iter((0.0, 0.0))])
+    # Arrays are read without a pass per point, and checked alike.
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        residual_sample(half_columns(), np.empty((0, 2)))
+    for wrong in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="sample points and box have different dimensions"):
+            residual_sample(half_columns(), wrong)
+    with pytest.raises(ValueError, match="sample points must be finite"):
+        residual_sample(half_columns(), np.array([[0.0, np.inf]]))
     with pytest.raises(ValueError):
         SpectralReport(samples=0, max_abs_residual=0.0)
     # Half-empty boxes whose float volume, and so whose residual, reads 0.0:
@@ -461,6 +489,23 @@ def test_both_phase_sum_paths_match_dense_reference_on_sparse_lattices(monkeypat
     assert min(paths.values()) >= 50 and min(verdicts.values()) >= 50, (paths, verdicts)
 
 
+def test_array_and_tuple_points_give_bit_identical_reports():
+    # The same points as a float array and as a list of tuples: the array is
+    # read as is, the tuples in one pass, and both give the same bits.
+    rng = random.Random(RESIDUAL_SEED + 2)
+    for case in range(120):
+        t = (_certificate_tiling if case % 4 < 2 else _sparse_lattice_tiling)(rng)
+        if case % 2:
+            t = _mutant(rng, t)
+        points = random_frequencies(t.box.dim, 1000, seed=case)
+        from_array = residual_sample(t, points)
+        from_tuples = residual_sample(t, [tuple(p) for p in points.tolist()])
+        assert struct.pack("<d", from_array.max_abs_residual) == struct.pack(
+            "<d", from_tuples.max_abs_residual
+        ), case
+        assert from_array.witness == from_tuples.witness, case
+
+
 def _center_sets(rng):
     """(gap pattern, numerators, unit): sorted distinct centers numerators / unit.
 
@@ -570,7 +615,7 @@ def test_residual_memory_does_not_grow_with_the_tiling(build, tiles):
 
 def _bit_patterns(points):
     # Bit patterns, so that inf and nan draws compare too.
-    return [(type(p), [struct.pack("<d", v) for v in p]) for p in points]
+    return [[struct.pack("<d", v) for v in p] for p in points]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -585,13 +630,19 @@ def test_random_frequencies_match_uniform_draws(dim):
                     tuple(rng.uniform(-bound, bound) for _ in range(dim)) for _ in range(count)
                 ]
                 got = random_frequencies(dim, count, seed, bound)
-                assert _bit_patterns(got) == _bit_patterns(expected)
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert got.shape == (count, dim) and not got.flags.writeable
+                assert _bit_patterns(got.tolist()) == _bit_patterns(expected)
 
 
 def test_random_frequencies_need_a_dimension():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension"):
             random_frequencies(dim, 10, 0)
+    # and a count of at least 0, checked before any draw
+    for count in (-1, -5):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            random_frequencies(2, count, 0)
 
 
 # ---------------------------------------------------------------------------
