@@ -72,6 +72,8 @@ def _write(path: str | Path | None, text: str | Iterable[str]) -> None:
 
 
 def _load_instance(args: argparse.Namespace) -> tuple[BoxSpec, list[Brick]]:
+    if args.input and (args.box is not None or args.brick):
+        raise ValueError("provide --box and --brick, or --input FILE, not both")
     if args.input:
         obj = _read_json(args.input)
         if not isinstance(obj, dict) or "box" not in obj or "bricks" not in obj:
@@ -231,12 +233,9 @@ def _add_instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="instance JSON file with 'box' and 'bricks'")
 
 
-def _add_grid_cap_option(p: argparse.ArgumentParser) -> None:
+def _add_grid_cap_option(p: argparse.ArgumentParser, text: str) -> None:
     p.add_argument(
-        "--grid-cap",
-        type=int,
-        default=DEFAULT_GRID_CAP,
-        help="max grid cells, or theorem-path tiling placements (default %(default)s)",
+        "--grid-cap", type=int, default=DEFAULT_GRID_CAP, help=f"{text} (default %(default)s)"
     )
 
 
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="construct an explicit tiling")
     _add_instance_options(p)
-    _add_grid_cap_option(p)
+    _add_grid_cap_option(p, "max grid cells, or theorem-path tiling placements")
     p.add_argument(
         "--node-budget",
         type=int,
@@ -288,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="emit and check a three-brick no-split instance")
     p.add_argument("--R", type=int, required=True, help="family parameter, an integer >= 4")
     p.add_argument("--output-dir", default=".", help="directory for the emitted files")
-    _add_grid_cap_option(p)
+    _add_grid_cap_option(
+        p, "max cells of the box's grid, whose unit multiples are the cuts it checks"
+    )
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("render", help="render a 2-d tiling file as SVG")

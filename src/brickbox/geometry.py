@@ -24,10 +24,11 @@ points, exponents, underscores, other digits and signed denominators are
 rejected; Fraction would spend seconds expanding "1e10000000".
 
 On each axis, `_integer_frame` writes the box and brick extents and the
-distinct offsets of a tiling as ints in units of 1/D, for D the least
-common denominator of those lengths there. The verifier compares boundaries
-and volumes as these ints, exact at any size; the oracle's grid and the SVG
-writer read the same lattice.
+placements' ends as ints in units of 1/D, for D the least common
+denominator of those lengths there: the low end o and high end o + c of
+each (brick type, distinct offset) pair that occurs. The verifier builds
+its arrangement from these ints, exact at any size; the SVG writer and the
+spectral sampler read the same pairs, and the oracle's grid the same lattice.
 
 All types are immutable values; all functions are pure and safe to call
 concurrently.
@@ -438,27 +439,35 @@ def _common_denominator(
 
 def _integer_frame(
     t: Tiling,
-) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]], list[list[int]]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]], tuple[tuple, ...]]:
     # Per axis, `_common_denominator` of the box extent, the brick extents
-    # and the distinct offsets there: (D per axis, box extents, each brick's
-    # extents, and per axis the distinct offsets in `t.placements.axes`
-    # order), as ints in units of 1/D. A tiling's offsets are integer
-    # combinations of brick extents, so they never refine the frame of the
-    # box and bricks; offsets that refine it by more than
-    # 2**_FRAME_SLACK_BITS raise GridTooLarge before any offset is scaled.
-    scale, columns = [], []
-    for ax, (length, (values, _)) in enumerate(zip(t.box.dims, t.placements.axes)):
+    # and the distinct offsets there, as ints in units of 1/D: (D per axis,
+    # box extents, each brick's extents, and per axis the ends of the
+    # (brick type k, distinct offset i) pairs that occur, numbered
+    # k * (number of distinct offsets) + i: the pair numbers in increasing
+    # order, each pair's low end o and high end o + c, and each placement's
+    # rank among the pairs). A tiling's offsets are integer combinations of
+    # brick extents, so they never refine the frame of the box and bricks;
+    # offsets that refine it by more than 2**_FRAME_SLACK_BITS raise
+    # GridTooLarge before any offset is scaled.
+    n = len(t.bricks) + 1
+    axes = []
+    for ax, (length, (values, index)) in enumerate(zip(t.box.dims, t.placements.axes)):
         fixed = [length, *(b.dims[ax] for b in t.bricks)]
         unit, ints = _common_denominator(
             fixed + list(values),
             math.lcm(*(v.denominator for v in fixed)) << _FRAME_SLACK_BITS,
             f"offsets refine the integer frame on axis {ax} by more than 2**{_FRAME_SLACK_BITS}",
         )
-        scale.append(unit)
-        columns.append(ints)
-    n = len(t.bricks) + 1
-    bricks = list(zip(*(c[1:n] for c in columns)))
-    return tuple(scale), tuple(c[0] for c in columns), bricks, [c[n:] for c in columns]
+        extents, offsets = ints[1:n], ints[n:]
+        pair = t.placements.kinds * len(offsets) + index
+        used = np.bincount(pair).nonzero()[0]
+        pairs = used.tolist()
+        lows = [offsets[p % len(offsets)] for p in pairs]
+        highs = [o + extents[p // len(offsets)] for o, p in zip(lows, pairs)]
+        axes.append((unit, ints[0], extents, (pairs, lows, highs, used.searchsorted(pair))))
+    scale, box, columns, ends = zip(*axes)
+    return scale, box, list(zip(*columns)), ends
 
 
 def _corners(lo: Sequence, hi: Sequence) -> Iterator[tuple[int, tuple]]:
@@ -479,29 +488,21 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     interiors meet. Otherwise the interiors are disjoint and the placements
     lie inside the box, so they tile it iff the placed volume equals the box
     volume. Boundaries and volumes are compared as exact integers in the
-    tiling's per-axis integer frame, one per distinct offset and per brick
-    type and distinct offset; the counts are taken from the placements'
-    columns at once, over the axes where the arrangement has more than one
-    cell (every placement spans the others). Raises GridTooLarge when the
-    arrangement has more than ARRANGEMENT_CAP cells, or when the offsets'
-    denominators make the frame on an axis more than 2**64 times finer than
-    the box and bricks need (no tiling does: its offsets are integer
-    combinations of brick extents).
+    tiling's per-axis integer frame: the low and high ends of each (brick
+    type, distinct offset) pair that occurs, read for every placement by
+    its rank among the pairs; the counts are taken at once, over the axes
+    where the arrangement has more than one cell (every placement spans
+    the others). Raises GridTooLarge when the arrangement has more than
+    ARRANGEMENT_CAP cells, or when the offsets' denominators make the frame
+    on an axis more than 2**64 times finer than the box and bricks need (no
+    tiling does: its offsets are integer combinations of brick extents).
     """
-    _, box, bricks, offsets = _integer_frame(t)
-    kinds = t.placements.kinds
+    _, box, bricks, ends = _integer_frame(t)
     lo, hi, shape = [], [], []
-    for ax, ((_, index), lows) in enumerate(zip(t.placements.axes, offsets)):
-        # Each (brick type, distinct offset) pair that occurs, numbered
-        # k * len(lows) + i, gives one high end.
-        pair = kinds * len(lows) + index
-        used = np.flatnonzero(np.bincount(pair, minlength=len(bricks) * len(lows))).tolist()
-        highs = [lows[p % len(lows)] + bricks[p // len(lows)][ax] for p in used]
-        at = {v: c for c, v in enumerate(sorted({0, box[ax], *lows, *highs}))}
-        ends = np.zeros(len(bricks) * len(lows), dtype=np.intp)
-        ends[used] = [at[v] for v in highs]
-        lo.append(np.array([at[v] for v in lows], dtype=np.intp)[index])
-        hi.append(ends[pair])
+    for length, (_, lows, highs, rank) in zip(box, ends):
+        at = {v: c for c, v in enumerate(sorted({0, length, *lows, *highs}))}
+        lo.append(np.array([at[v] for v in lows], dtype=np.intp)[rank])
+        hi.append(np.array([at[v] for v in highs], dtype=np.intp)[rank])
         shape.append(len(at) - 1)
     total = math.prod(shape)
     if total > ARRANGEMENT_CAP:
@@ -532,7 +533,7 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
             [np.maximum(a[i], a[i + 1 :]) < np.minimum(b[i], b[i + 1 :]) for a, b in zip(lo, hi)]
         )
         return VerifyOutcome("overlap", (i, i + 1 + int(np.flatnonzero(meets)[0])))
-    uses = np.bincount(kinds, minlength=len(bricks)).tolist()
+    uses = np.bincount(t.placements.kinds, minlength=len(bricks)).tolist()
     if sum(n * math.prod(b) for n, b in zip(uses, bricks)) != math.prod(box):
         placed = sum((n * volume(b) for n, b in zip(uses, t.bricks)), Fraction(0))
         return VerifyOutcome("volume-mismatch", (placed, volume(t.box)))

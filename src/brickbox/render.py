@@ -3,9 +3,9 @@
 One rectangle per placement, colored by brick type. Coordinates come from
 the tiling's integer frame (see `geometry`): an integer where the scaled
 value is one, else the repr of its nearest double. They are read off the
-placement columns, so each distinct coordinate is formatted once. The y
-axis is flipped so the origin sits at the bottom-left, matching the
-mathematical orientation.
+frame's (brick type, distinct offset) pairs, so each pair's x, and its y
+flipped from its high end, is formatted once. The y axis is flipped so the
+origin sits at the bottom-left, matching the mathematical orientation.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         raise ValueError("only 2-d tilings can be rendered")
     if scale < 1:
         raise ValueError(f"scale must be at least 1: {scale}")
-    (dx, dy), (width, height), bricks, (xs, ys) = _integer_frame(t)
-    kinds, ((_, ix), (_, iy)) = t.placements.kinds, t.placements.axes
+    (dx, dy), (width, height), bricks, ((_, xs, _, col), (_, _, tops, row)) = _integer_frame(t)
 
     def num(v: int, unit: int) -> str:
         # v * scale / unit, as an integer or as the nearest double's repr
@@ -50,14 +49,11 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         f'<rect x="0" y="0" width="{w}" height="{h}" '
         'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
     ]
-    # Each distinct x, and each flipped y per (brick type, distinct y) pair
-    # that occurs, numbered k * len(ys) + i, is formatted once; a
-    # placement's line joins three pieces.
+    # Each (brick type, distinct offset) pair that occurs formats its x, or
+    # its y flipped from its high end, once; a placement's line joins three
+    # pieces.
     heads = np.array([f'<rect x="{num(x, dx)}" y="' for x in xs], dtype=object)
-    pair = kinds * len(ys) + iy
-    used = np.flatnonzero(np.bincount(pair, minlength=len(bricks) * len(ys))).tolist()
-    flipped = np.empty(len(bricks) * len(ys), dtype=object)
-    flipped[used] = [num(height - ys[p % len(ys)] - bricks[p // len(ys)][1], dy) for p in used]
+    flipped = np.array([num(height - y, dy) for y in tops], dtype=object)
     tails = np.array(
         [
             f'" width="{num(a, dx)}" height="{num(b, dy)}" fill="{PALETTE[k % len(PALETTE)]}" '
@@ -66,6 +62,6 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         ],
         dtype=object,
     )
-    lines += (heads[ix] + flipped[pair] + tails[kinds]).tolist()
+    lines += (heads[col] + flipped[row] + tails[t.placements.kinds]).tolist()
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -28,8 +28,11 @@ witness is checked in exact rational arithmetic and holds for extents of
 any size.
 
 `residual_sample` reads each brick type's distinct centers off the
-tiling's placement columns in its per-axis integer frame (see `geometry`),
-as exact ints in units of 1/(2D). Per brick type, it factors every phase
+tiling's per-axis integer frame (see `geometry`), as exact ints in units
+of 1/(2D): the type's (brick type, distinct offset) pairs run together
+there by increasing offset, and each gives one center minus half the box,
+low + high - L. A placement's row is its rank among the pairs less that of
+the type's first pair. Per brick type, it factors every phase
 into one factor per axis, read from a table over that axis's distinct
 centers, a row per center and a column per point. The rows go in blocks of
 at most 32: a block's first row is a direct exponential of its center and
@@ -322,19 +325,6 @@ def _gathered_sum(where: Sequence[np.ndarray], block: int, tables: list) -> np.n
     return total
 
 
-def _centers(
-    mine: np.ndarray, index: np.ndarray, offsets: list[int], c: int, length: int
-) -> tuple[list[int], np.ndarray]:
-    # The sorted distinct centers of one brick type's placements on one
-    # axis, and each placement's row among them. A center minus half the
-    # box is (2o + c - L) / 2D in the frame; this gives the int numerators,
-    # which grow with the offsets, so distinct offsets give distinct ones.
-    index = index[mine]
-    used = np.bincount(index, minlength=len(offsets)) > 0
-    rank = np.cumsum(used) - 1
-    return [2 * offsets[i] + c - length for i in np.flatnonzero(used).tolist()], rank[index]
-
-
 # Overflow shows as a non-finite residual, which raises, not as a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def residual_sample(
@@ -374,19 +364,24 @@ def residual_sample(
         raise ValueError("box volume below double range")
     if math.isinf(box_volume):
         raise ValueError("box volume above double range")
-    scale, box, bricks, offsets = _integer_frame(t)
-    kinds, axes = t.placements.kinds, t.placements.axes
+    scale, box, _, ends = _integer_frame(t)
+    kinds = t.placements.kinds
     total = np.zeros(pts.shape[0], dtype=complex)
-    for k, (brick, extents) in enumerate(zip(t.bricks, bricks)):
+    for k, brick in enumerate(t.bricks):
         mine = kinds == k
         if not mine.any():
             continue
         plans, where, shape = [], [], []
-        for (_, index), column, c, length, unit in zip(axes, offsets, extents, box, scale):
-            nums, rows = _centers(mine, index, column, c, length)
+        for (_, lows, highs, rank), length, unit in zip(ends, box, scale):
+            # The type's pairs run together, from its least rank to its
+            # greatest. A center minus half the box is (o + (o + c) - L) / 2D:
+            # int numerators that grow with the offsets, so they are distinct.
+            rows = rank[mine]
+            first, last = int(rows.min()), int(rows.max()) + 1
+            nums = [lo + hi - length for lo, hi in zip(lows[first:last], highs[first:last])]
             plans.append(_table_plan(nums, 2 * unit))
-            where.append(rows)
-            shape.append(len(nums))
+            where.append(rows - first)
+            shape.append(last - first)
         total += _phase_sum(pts, plans, where, shape) * _box_transform_batch(brick.dims, pts)
     resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
     if not np.isfinite(resid).all():

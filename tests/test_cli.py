@@ -437,6 +437,33 @@ def test_instance_file_input(tmp_path, capsys):
     assert json.loads(out)["tileable"] is True
 
 
+def test_instance_file_and_instance_flags_are_refused_together(tmp_path, capsys):
+    # Two instances given at once: neither is read, and nothing is answered.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "box": {"dims": ["1", "1"]},
+        "bricks": [{"dims": ["1/4", "1/2"]}, {"dims": ["1/2", "1/2"]}],
+    }))
+    flags = (["--box", "1,1"], ["--brick", "1,1"], ["--box", "1,1", "--brick", "1,1"])
+    for command in ("decide", "split", "tile"):
+        assert run(capsys, command, "--input", str(path))[0] == 0
+        for extra in flags:
+            assert run(capsys, command, "--input", str(path), *extra) == (
+                2, "", "invalid input: provide --box and --brick, or --input FILE, not both\n")
+
+
+def test_grid_cap_help_names_what_each_command_caps(capsys):
+    for command, text in (
+        ("tile", "theorem-path tiling placements"),
+        ("counterexample", "the cuts it checks"),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert text in help_text
+        assert ("theorem-path" in help_text) == (command == "tile")
+
+
 def test_instance_file_bricks_must_be_a_list(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"box": {"dims": [1, 1]}, "bricks": 5}))

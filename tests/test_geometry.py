@@ -1,5 +1,6 @@
 """Exact geometry: scalars, shapes, and the geometric verifier."""
 
+import math
 import pickle
 import random
 import time
@@ -26,6 +27,7 @@ from brickbox import (
     build_grid,
     certificate_to_tiling,
     decide_two_brick,
+    exact_cover_tileable,
     frac,
     lift_to_dimension,
     make_instance,
@@ -926,3 +928,80 @@ def test_placements_view_columns_are_canonical_and_read_only():
             Placements(kinds, [((0, 1), index)])
     empty = Placements([], [((), [])])
     assert empty == Placements((), [((), ())]) and tuple(empty) == () != empty
+
+
+def reference_frame_ends(t):
+    """Per axis, in Fraction arithmetic over `tuple(t.placements)`: the
+    common denominator D of the box extent, the brick extents and the
+    offsets; the (brick type k, distinct offset i) pairs that occur,
+    numbered k * (number of distinct offsets) + i and sorted; each pair's
+    low end o * D and high end (o + c) * D; and each placement's pair."""
+    placements = tuple(t.placements)
+    axes = []
+    for ax, length in enumerate(t.box.dims):
+        values = sorted({p.offset[ax] for p in placements})
+        at = {v: i for i, v in enumerate(values)}
+        extents = [b.dims[ax] for b in t.bricks]
+        unit = math.lcm(*(v.denominator for v in (length, *extents, *values)))
+        pair = [p.brick_index * len(values) + at[p.offset[ax]] for p in placements]
+        used = sorted(set(pair))
+        lows = [values[q % len(values)] * unit for q in used]
+        highs = [(values[q % len(values)] + extents[q // len(values)]) * unit for q in used]
+        axes.append((unit, length * unit, [c * unit for c in extents], used, lows, highs, pair))
+    return axes
+
+
+def _three_type_oracle_case(rng):
+    """An exact-cover tiling of a small 2-d box that uses three brick types."""
+    while True:
+        bricks = [
+            Brick([F(rng.randint(1, 3), rng.choice((1, 2))) for _ in range(2)]) for _ in range(3)
+        ]
+        box = BoxSpec([F(rng.randint(2, 6), rng.choice((1, 2))) for _ in range(2)])
+        outcome = exact_cover_tileable(box, bricks, node_budget=20_000)
+        if outcome.tiling is not None and len(set(outcome.tiling.placements.kinds.tolist())) == 3:
+            return outcome.tiling, tuple(outcome.tiling.placements)
+
+
+FRAME_SEED = 20261020
+
+
+def test_frame_ends_match_fraction_reference_on_seeded_corpus():
+    rng = random.Random(FRAME_SEED)
+    builders = (_certificate_case, _oracle_case, _three_type_oracle_case, _lifted_case)
+    cases = []
+    for case in range(160):
+        t, ref = builders[case % len(builders)](rng)
+        cases += [t] + [u for u, _ in _mutant_cases(rng, t, ref)]
+    pinwheel = pinwheel_tiling(make_instance(4))
+    cases += [
+        lift_to_dimension(pinwheel, 40),
+        # brick type 1 is never placed
+        Tiling(
+            bricks=(Brick((F(1, 2), 1)), Brick((F(1, 3), 1))),
+            placements=(Placement(0, (0, 0)), Placement(0, (F(1, 2), 0))),
+            box=BoxSpec((1, 1)),
+        ),
+        # two types at one offset with different extents on both axes
+        Tiling(
+            bricks=(Brick((F(1, 3), F(1, 2))), Brick((F(2, 3), F(1, 4)))),
+            placements=(
+                Placement(1, (0, F(1, 2))),
+                Placement(0, (0, 0)),
+                Placement(1, (F(1, 3), 0)),
+                Placement(0, (F(2, 3), F(1, 2))),
+            ),
+            box=BoxSpec((1, 1)),
+        ),
+        Tiling(bricks=(Brick((1, 2)),), placements=(), box=BoxSpec((3, 2))),
+    ]
+    for case, t in enumerate(cases):
+        scale, box, bricks, ends = geometry._integer_frame(t)
+        assert len(ends) == t.box.dim, case
+        for ax, (ref, unit, length, (pairs, lows, highs, rank)) in enumerate(
+            zip(reference_frame_ends(t), scale, box, ends)
+        ):
+            assert (unit, length, [b[ax] for b in bricks]) == ref[:3], (case, ax)
+            assert (pairs, lows, highs) == tuple(ref[3:6]), (case, ax)
+            assert all(type(v) is int for v in (*pairs, *lows, *highs)), (case, ax)
+            assert [pairs[r] for r in rank.tolist()] == ref[6], (case, ax)
