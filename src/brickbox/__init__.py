@@ -49,6 +49,7 @@ from .spectral import (
     SpectralReport,
     in_zero_set_Z,
     key_observation_witness,
+    phase_terms,
     random_frequencies,
     residual_sample,
 )

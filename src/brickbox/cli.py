@@ -33,7 +33,7 @@ from .exactcover import (
 )
 from .geometry import BoxSpec, Brick, Tiling, verify_tiling_geometric
 from .render import tiling_to_svg
-from .spectral import random_frequencies, residual_sample
+from .spectral import phase_terms, random_frequencies, residual_sample
 from .theorem import certificate_to_tiling, decide_two_brick, find_split, one_brick_tiling
 
 EXIT_OK = 0
@@ -43,6 +43,10 @@ EXIT_BUDGET = 3
 
 #: Most `spectral --samples`; a sample costs about 90 bytes while it is checked.
 SAMPLE_CAP = 10**6
+
+#: Most `spectral` samples times the tiling's phase terms per sample
+#: (`phase_terms`): about a second of contraction on a 2-vCPU host.
+WORK_CAP = 10**9
 
 
 def _positive(value: int, source: str) -> int:
@@ -168,6 +172,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if args.samples > SAMPLE_CAP:
         raise GridTooLarge(f"{args.samples} samples, cap is {SAMPLE_CAP}")
     tiling = _load_tiling(args)
+    terms = phase_terms(tiling)
+    if args.samples * terms > WORK_CAP:
+        raise GridTooLarge(f"{args.samples} samples × {terms} terms, cap is {WORK_CAP}")
     points = random_frequencies(tiling.box.dim, args.samples, args.seed, args.bound)
     report = residual_sample(tiling, points, seed=args.seed)
     _emit(args, ser.spectral_report_to_obj(report))

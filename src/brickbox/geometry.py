@@ -26,9 +26,11 @@ rejected; Fraction would spend seconds expanding "1e10000000".
 On each axis, `_integer_frame` writes the box and brick extents and the
 placements' ends as ints in units of 1/D, for D the least common
 denominator of those lengths there: the low end o and high end o + c of
-each (brick type, distinct offset) pair that occurs. The verifier builds
-its arrangement from these ints, exact at any size; the SVG writer and the
-spectral sampler read the same pairs, and the oracle's grid the same lattice.
+each (brick type, distinct offset) pair that occurs. A `Tiling` builds this
+frame once, on first use, and keeps it: the verifier builds its
+arrangement from these ints, exact at any size, and the SVG writer and the
+spectral sampler read the same frame, so verifying, sampling and drawing
+one tiling build it once. The oracle's grid uses the same lattice.
 
 All types are immutable values; all functions are pure and safe to call
 concurrently.
@@ -42,6 +44,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Union
 
@@ -364,7 +367,10 @@ class Tiling:
     columns; only when that check fails are the rows scanned, in order, for
     the first bad placement. Whether the placements actually tile the box
     is decided by `verify_tiling_geometric`. Two tilings are equal when
-    their bricks, boxes and placement sequences are.
+    their bricks, boxes and placement sequences are. The integer frame
+    that the verifier, the spectral sampler and the SVG writer read is
+    built once, on first use, and takes no part in equality, hash, repr
+    or pickling.
     """
 
     bricks: tuple[Brick, ...]
@@ -392,6 +398,17 @@ class Tiling:
             raise ValueError(_first_error(placements, bricks, self.box))
         object.__setattr__(self, "bricks", bricks)
         object.__setattr__(self, "placements", view)
+
+    @cached_property
+    def _frame(self) -> tuple:
+        # The integer frame (see `_integer_frame`), built on first use and
+        # shared by every reader, none of which changes it; an error it
+        # raises is raised again by every later use.
+        return _integer_frame(self)
+
+    def __getstate__(self) -> dict:
+        # A pickle holds the fields alone; the frame is built again on use.
+        return {k: v for k, v in self.__dict__.items() if k != "_frame"}
 
 
 @dataclass(frozen=True)
@@ -497,7 +514,7 @@ def verify_tiling_geometric(t: Tiling) -> VerifyOutcome:
     on an axis more than 2**64 times finer than the box and bricks need (no
     tiling does: its offsets are integer combinations of brick extents).
     """
-    _, box, bricks, ends = _integer_frame(t)
+    _, box, bricks, ends = t._frame
     lo, hi, shape = [], [], []
     for length, (_, lows, highs, rank) in zip(box, ends):
         at = {v: c for c, v in enumerate(sorted({0, length, *lows, *highs}))}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Tiling, _integer_frame
+from .geometry import Tiling
 
 PALETTE = (
     "#4e79a7",
@@ -36,7 +36,7 @@ def tiling_to_svg(t: Tiling, scale: int = 100) -> str:
         raise ValueError("only 2-d tilings can be rendered")
     if scale < 1:
         raise ValueError(f"scale must be at least 1: {scale}")
-    (dx, dy), (width, height), bricks, ((_, xs, _, col), (_, _, tops, row)) = _integer_frame(t)
+    (dx, dy), (width, height), bricks, ((_, xs, _, col), (_, _, tops, row)) = t._frame
 
     def num(v: int, unit: int) -> str:
         # v * scale / unit, as an integer or as the nearest double's repr

@@ -28,19 +28,32 @@ witness is checked in exact rational arithmetic and holds for extents of
 any size.
 
 `residual_sample` reads each brick type's distinct centers off the
-tiling's per-axis integer frame (see `geometry`), as exact ints in units
+tiling's per-axis integer frame (see `geometry`), as exact ints n in units
 of 1/(2D): the type's (brick type, distinct offset) pairs run together
 there by increasing offset, and each gives one center minus half the box,
 low + high - L. A placement's row is its rank among the pairs less that of
-the type's first pair. Per brick type, it factors every phase
-into one factor per axis, read from a table over that axis's distinct
-centers, a row per center and a column per point. The rows go in blocks of
-at most 32: a block's first row is a direct exponential of its center and
-each later row is the row before it times the exponential of the gap
-between their centers, computed once per distinct gap. So n centers in
-a progression cost ceil(n/32) + 1 exponentials per point, not n; when the
-gaps are too varied to pay, every row is a direct exponential. Each entry is an exponential times at most 31
-gap factors, so its angle error is of the order of a direct exponential's.
+the type's first pair. Every value the sampler needs on axis j is then a
+power h_n = exp(i*n*theta) of one angle theta = pi*xi_j/D at each point:
+the phase of a center n, and the transform factor of an extent c,
+sin(pi*c*xi_j/D)/(pi*xi_j), which is the imaginary part of h_c over
+pi*xi_j (c/D itself at xi_j = 0). So per chunk of points it builds one
+bank of such rows, a row per axis and int, with a single np.exp: on each
+axis the box extent L, each used brick extent c, and each table head and
+gap below that no other row gives. A row n = 2c is h_c**2 (a certificate
+tiling's gap between bricks of extent c), and a row n = c - L is h_c *
+conj(h_L) (the first center of a type whose least offset is 0); every
+other row is a direct exponential. Each transform factor is computed once
+per distinct extent.
+
+Per brick type, it factors every phase into one factor per axis, read
+from a table over that axis's distinct centers, a row per center and a
+column per point. The rows go in blocks of at most 32: a block's first row
+is its center's bank row and each later row is the row before it times
+the bank row of the gap between their centers. So n centers in a
+progression read ceil(n/32) + 1 bank rows per point, not n; when the gaps
+are too varied to pay, every row is its center's own bank row. Each entry
+is a product of at most two exponentials times at most 31 gap factors, so
+its angle error is of the order of a direct exponential's.
 
 A brick type whose placements have R_j distinct centers on axis j has its
 centers on a lattice of prod_j R_j points. When the lattice has at most
@@ -57,21 +70,23 @@ placements: its lattice can be far larger than n (n centers on a diagonal
 span n**d points), while the gather's time and memory grow only with n.
 The contraction runs in np.einsum without optimize and in elementwise
 numpy, never in BLAS, so its sums round the same way whatever the BLAS
-thread count. The points go in chunks so that no working array holds more
-than 2**16 entries, padded table rows included (or one point's table, for
-an axis with more distinct centers than that, or one point's lattice
-lines, for a lattice with more lines than that): memory stays bounded
-however many placements the tiling has. The products and sums round
-differently from a single exp(2*pi*i * xi.lambda) per placement, so a
-residual's noise digits (around 1e-14 on small tilings), and so which
-point witnesses a noise-level maximum, may differ from that formula.
+thread count. The points go in chunks so that the arrays alive at once
+(the bank and the transform factors, plus the tables, padded rows
+included, and the lattice lines of the one type being summed) hold at most
+2**16 entries, or one point's worth when that is more, and a gather block
+at most 2**16 more: memory stays bounded however many placements the
+tiling has. The products and sums round differently from a single
+exp(2*pi*i * xi.lambda) per placement, so a residual's noise digits
+(around 1e-14 on small tilings), and so which point witnesses a
+noise-level maximum, may differ from that formula.
 
 `random_frequencies` draws the coordinates of all points as one stream,
 point by point and axis by axis, and returns them as one read-only float
 array of shape (count, dim), a row per point, which `residual_sample`
-reads as is. Each coordinate is bit for bit what
-`random.Random(seed).uniform(-bound, bound)` returns at that position of
-the stream.
+reads as is. The stream is read in blocks of 2**16 coordinates, 64 random
+bits each, so memory stays bounded at any count. Each coordinate is bit
+for bit what `random.Random(seed).uniform(-bound, bound)` returns at that
+position of the stream.
 """
 
 from __future__ import annotations
@@ -79,25 +94,29 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat, starmap
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import BoxSpec, Brick, Tiling, _integer_frame, frac
+from .geometry import BoxSpec, Brick, Tiling, frac
 
 #: A frequency vector of float coordinates.
 Frequency = Sequence[float]
 
-# Most entries of a working array (1 MB of complex128) in residual_sample,
-# padded phase-table rows included.
+# Most entries (1 MB of complex128) of the arrays that residual_sample holds
+# at once, banks and padded phase-table rows included.
 _BLOCK_ENTRIES = 2**16
 
-# Most rows of a phase-table block: one direct exponential, then running
-# products of gap factors (see `_phase_table`).
+# Coordinates that `random_frequencies` draws at once, 64 random bits each.
+_DRAW_BLOCK = 2**16
+
+# Most rows of a phase-table block: its head's bank row, then running
+# products of gap rows (see `_phase_table`).
 _CHAIN = 32
 
 
@@ -135,22 +154,6 @@ class KeyObservationWitness:
     point: tuple[Fraction, ...]
 
 
-@np.errstate(invalid="ignore")
-def _box_transform_batch(dims: Sequence[Fraction], pts: np.ndarray) -> np.ndarray:
-    # The real transform of the centered box with extents `dims` at each row
-    # of `pts`: its volume at 0, and 0 where some xi_j is a nonzero multiple
-    # of 1/c_j. Each axis runs the formula over all points, where 0/0 reads
-    # nan at xi_j = 0, then sets c_j there if any xi_j is 0.
-    out = np.ones(pts.shape[0])
-    for c, x in zip(dims, pts.T):
-        cf = float(c)
-        factor = np.sin(np.pi * cf * x) / (np.pi * x)
-        if np.count_nonzero(x) < len(x):
-            factor[x == 0.0] = cf
-        out *= factor
-    return out
-
-
 def in_zero_set_Z(xi: Sequence, box: BoxSpec) -> bool:
     """Membership in the zero set of the box transform.
 
@@ -181,12 +184,22 @@ def random_frequencies(dim: int, count: int, seed: int, bound: float = 10.0) -> 
         raise ValueError(f"frequency dimension must be at least 1: {dim}")
     if count < 0:
         raise ValueError(f"frequency count must be nonnegative: {count}")
+    # Random.random() is (a * 2**26 + b) / 2**53, for a and b the top 27
+    # and 26 bits of the generator's next two 32-bit words, and
+    # getrandbits(64 * n) packs its next 2n words, the first lowest: so
+    # each block reads n draws of the same stream at once.
+    rng = random.Random(seed)
+    flat = np.empty(dim * count)
+    for first in range(0, len(flat), _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, len(flat) - first)
+        bits = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        words = np.frombuffer(bits, dtype="<u4").astype(np.uint64)
+        flat[first : first + n] = words[0::2] >> 5 << 26 | words[1::2] >> 6
+    flat *= 2.0**-53
     # Random.uniform(a, b) is a + (b - a) * random(): the same two IEEE
     # operations over the whole stream give the same values. A bound near
     # the double maximum makes b - a infinite, so a draw reads inf (or nan
     # for a zero draw) in both, without a warning.
-    draw = random.Random(seed).random
-    flat = np.fromiter(starmap(draw, repeat((), dim * count)), float, dim * count)
     lo, width = float(-bound), float(2 * bound)  # b - a, exactly
     with np.errstate(over="ignore", invalid="ignore"):
         points = (lo + width * flat).reshape(count, dim)
@@ -211,15 +224,15 @@ def _points_array(points: Sequence[Frequency] | np.ndarray, d: int) -> np.ndarra
     return np.fromiter(chain.from_iterable(points), float, len(points) * d).reshape(-1, d)
 
 
-def _table_plan(nums: list[int], unit: int) -> tuple[list[float], np.ndarray]:
-    # How `_phase_table` builds the table over the sorted distinct centers
-    # nums[j] / unit: the coefficients to exponentiate (each block's first
-    # center, then each distinct gap between neighbours inside a block, as
-    # doubles), and the coefficient each table row starts from, as blocks
-    # by rows. Blocks hold at most _CHAIN rows, as evenly as they can, so
-    # that the rows padded onto the last block number fewer than the
-    # blocks; row j is center j. When the gaps are too varied to pay,
-    # blocks of one row make every row a direct exponential.
+def _table_plan(nums: list[int]) -> tuple[list[int], np.ndarray]:
+    # How `_phase_table` builds the table over the sorted distinct center
+    # numerators `nums`: the ints whose bank rows it reads (each block's
+    # first center, then each distinct gap between neighbours inside a
+    # block), and the one each table row starts from, as blocks by rows of
+    # indices into those ints. Blocks hold at most _CHAIN rows, as evenly as
+    # they can, so that the rows padded onto the last block number fewer
+    # than the blocks; row j is center j. When the gaps are too varied to
+    # pay, blocks of one row read every center's own bank row.
     n = len(nums)
     blocks = -(-n // _CHAIN)
     chain = -(-n // blocks)
@@ -227,68 +240,109 @@ def _table_plan(nums: list[int], unit: int) -> tuple[list[float], np.ndarray]:
     del gaps[chain - 1 :: chain]  # the gaps into a block's first row
     distinct = dict.fromkeys(gaps)
     if blocks + len(distinct) >= n:
-        return [x / unit for x in nums], np.arange(n).reshape(n, 1)
+        return nums, np.arange(n).reshape(n, 1)
     at = {g: blocks + i for i, g in enumerate(distinct)}
-    source = np.zeros((blocks, chain), dtype=np.intp)
-    source[:, 0] = np.arange(blocks)
-    source[:, 1:].flat[: len(gaps)] = [at[g] for g in gaps]
-    return [x / unit for x in nums[::chain]] + [g / unit for g in distinct], source
+    width = chain - 1
+    # The rows padded onto the last block read the first head's row.
+    steps = [at[g] for g in gaps] + [0] * (blocks * width - len(gaps))
+    source = [[b, *steps[b * width : (b + 1) * width]] for b in range(blocks)]
+    return nums[::chain] + list(distinct), np.array(source, dtype=np.intp)
 
 
-def _phase_table(xi: np.ndarray, coefficients: list[float], source: np.ndarray) -> np.ndarray:
-    # exp(2j*pi * (xi * c)) for each center c of a `_table_plan`, a row per
-    # center (padded to whole blocks) and a column per point. One direct
-    # exponential per coefficient and point; every other row is the row
-    # before it times one gap factor, so it is its block's first row times
-    # at most _CHAIN - 1 gap factors, and its angle error stays of the
-    # order of a direct exponential's. The running products go one row
-    # position at a time over all blocks: np.multiply.accumulate along the
-    # rows reads them with a whole row's stride and took 4-10 times longer.
-    steps = np.multiply.outer(coefficients, xi)
-    steps *= 2 * np.pi
-    steps = np.exp(steps * 1j)
-    chain = source.shape[1]
-    if chain == 1:
-        return steps
-    table = steps[source]
-    for k in range(1, chain):
-        table[:, k] *= table[:, k - 1]
-    return table.reshape(-1, len(xi))
+def _bank_plan(
+    scale: Sequence[int], extents: list[list[int]], needs: list[list[int]]
+) -> tuple[tuple[np.ndarray, ...], dict[tuple[int, int], int]]:
+    # The bank's rows, one per axis ax and int n on it: h_n at ax's angle.
+    # First each axis's `extents` (its box extent L first, then its brick
+    # types'), then each int of its `needs` that no rule derives, all
+    # direct exponentials; then conj(h_L) per axis; then the derived rows:
+    # a need that is twice an extent c is h_c * h_c, and one that is an
+    # extent c less L is h_c * conj(h_L). Returns the plan that `_bank`
+    # reads (each direct row's axis and n/2D, each axis's row of L, and the
+    # pairs of rows whose products give the derived rows), and each (axis,
+    # int)'s row.
+    direct = {(ax, n): None for ax, given in enumerate(extents) for n in given}
+    derived = {}
+    for ax, (given, ints) in enumerate(zip(extents, needs)):
+        length = given[0]
+        for n in ints:
+            if (ax, n) in direct or (ax, n) in derived:
+                continue
+            if n % 2 == 0 and n // 2 in given:
+                derived[ax, n] = (ax, n // 2), (ax, n // 2)
+            elif n + length in given:
+                derived[ax, n] = (ax, n + length), (ax, -length)
+            else:
+                direct[ax, n] = None
+    boxes = [(ax, given[0]) for ax, given in enumerate(extents)]
+    keys = [*direct, *((ax, -length) for ax, length in boxes), *derived]
+    row = {key: i for i, key in enumerate(keys)}
+    plan = (
+        np.array([ax for ax, _ in direct], dtype=np.intp),
+        np.array([n / (2 * scale[ax]) for ax, n in direct]),
+        np.array([row[key] for key in boxes], dtype=np.intp),
+        np.array([(row[a], row[b]) for a, b in derived.values()], dtype=np.intp).reshape(-1, 2),
+    )
+    return plan, row
 
 
-def _phase_sum(
-    pts: np.ndarray, plans: Sequence[tuple], where: Sequence[np.ndarray], shape: Sequence[int]
+def _bank(
+    x: np.ndarray, axis: np.ndarray, coefficients: np.ndarray, boxes: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    # Sum over placements k of exp(2*pi*i * xi.lambda_k) at every point xi,
-    # where lambda_k is, on each axis, the center of row where[ax][k] of
-    # that axis's `_table_plan`, whose shape[ax] centers are its first
-    # rows. Placements that fill at least half of their lattice of centers
-    # are summed over it (`_lattice_sum`), others one by one
-    # (`_gathered_sum`); see the module docstring. Points go in chunks so
-    # that tables (padded rows included) and working arrays hold at most
-    # _BLOCK_ENTRIES entries each (or one point's column of the tallest
-    # table, or of the lattice lines, when that has more entries).
-    tallest = max(source.size for _, source in plans)
+    # The rows of a `_bank_plan` at a chunk of points whose coordinates on
+    # axis ax are x[ax], a row per (axis, int) and a column per point:
+    # exp(2j*pi * x[ax] * n/2D) for the direct rows, in one np.exp; then the
+    # conjugate of each axis's row of L; then each product of a pair of
+    # rows before it.
+    direct = len(coefficients)
+    bank = np.zeros((direct + len(boxes) + len(pairs), x.shape[1]), dtype=complex)
+    angles = bank[:direct].imag
+    np.multiply(coefficients[:, None], x[axis], out=angles)
+    angles *= 2 * np.pi
+    np.exp(bank[:direct], out=bank[:direct])
+    np.conjugate(bank[boxes], out=bank[direct : direct + len(boxes)])
+    np.multiply(bank[pairs[:, 0]], bank[pairs[:, 1]], out=bank[direct + len(boxes) :])
+    return bank
+
+
+def _phase_table(bank: np.ndarray, source: np.ndarray) -> np.ndarray:
+    # exp(2j*pi * xi * c) for each center c of a `_table_plan`, a row per
+    # center (padded to whole blocks) and a column per point, where
+    # `source` holds the plan's bank rows: each block's first row is its
+    # head's bank row, and every later row is the row before it times a
+    # gap's bank row. The running products go one row position at a time
+    # over all blocks: np.multiply.accumulate along the rows reads them
+    # with a whole row's stride and took 4-10 times longer.
+    table = bank[source]
+    for k in range(1, source.shape[1]):
+        table[:, k] *= table[:, k - 1]
+    return table.reshape(-1, bank.shape[1])
+
+
+def _terms(shape: Sequence[int], placements: int) -> int:
+    # The terms a brick type sums per point: the points of its lattice of
+    # centers, of the given shape, when they are at most twice its
+    # placements, so that it is summed by contraction; else its placements,
+    # which are gathered.
     size = math.prod(shape)
-    axes = range(len(shape))
-    if size <= 2 * len(where[0]):
-        # The longest axis goes last, so the contraction's first step leaves
-        # the fewest lattice lines.
-        axes = sorted(axes, key=shape.__getitem__)
-        shape = tuple(shape[ax] for ax in axes)
-        point = np.ravel_multi_index([where[ax] for ax in axes], shape)
-        counts = np.bincount(point, minlength=size).reshape(-1, shape[-1]).astype(float)
-        chunk = max(1, _BLOCK_ENTRIES // max(tallest, len(counts)))
-        summed = partial(_lattice_sum, counts, shape)
-    else:
-        chunk = max(1, _BLOCK_ENTRIES // tallest)
-        summed = partial(_gathered_sum, where, max(1, _BLOCK_ENTRIES // chunk))
-    columns = [(pts[:, ax], plans[ax]) for ax in axes]
-    total = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], chunk):
-        tables = [_phase_table(xi[lo : lo + chunk], *plan) for xi, plan in columns]
-        total[lo : lo + chunk] = summed(tables)
-    return total
+    return size if size <= 2 * placements else placements
+
+
+def _summation(where: list[np.ndarray], shape: list[int]) -> tuple:
+    # How a brick type's phase sum runs over a chunk's tables, one per axis
+    # with shape[ax] center rows, placement k sitting on row where[ax][k]
+    # (see the module docstring): the axes in the order its tables go, the
+    # sum, and the rows its working arrays hold per point.
+    size = math.prod(shape)
+    if _terms(shape, len(where[0])) < size:
+        return range(len(shape)), partial(_gathered_sum, where), 0
+    # The longest axis goes last, so the contraction's first step leaves
+    # the fewest lattice lines.
+    axes = sorted(range(len(shape)), key=shape.__getitem__)
+    shape = [shape[ax] for ax in axes]
+    point = np.ravel_multi_index([where[ax] for ax in axes], shape)
+    counts = np.bincount(point, minlength=size).reshape(-1, shape[-1]).astype(float)
+    return axes, partial(_lattice_sum, counts, shape), 2 * len(counts)
 
 
 def _lattice_sum(counts: np.ndarray, shape: Sequence[int], tables: list) -> np.ndarray:
@@ -309,9 +363,10 @@ def _lattice_sum(counts: np.ndarray, shape: Sequence[int], tables: list) -> np.n
     return term[0]
 
 
-def _gathered_sum(where: Sequence[np.ndarray], block: int, tables: list) -> np.ndarray:
+def _gathered_sum(where: Sequence[np.ndarray], tables: list) -> np.ndarray:
     # The phase sum as one product of gathered factors per placement, in
-    # blocks of `block` placements.
+    # blocks of placements whose factors hold at most _BLOCK_ENTRIES.
+    block = max(1, _BLOCK_ENTRIES // tables[0].shape[1])
     total = 0
     for first in range(0, len(where[0]), block):
         term = None
@@ -323,6 +378,36 @@ def _gathered_sum(where: Sequence[np.ndarray], block: int, tables: list) -> np.n
                 term *= factor
         total = total + term.sum(axis=0)
     return total
+
+
+def _centers(t: Tiling) -> Iterator[tuple[int, list[list[int]], list[np.ndarray]]]:
+    # Per brick type with placements: its index, its sorted distinct center
+    # numerators per axis, and its placements' rows among them per axis.
+    _, box, _, ends = t._frame
+    kinds = t.placements.kinds
+    for k in np.flatnonzero(np.bincount(kinds)).tolist():
+        mine = kinds == k
+        nums, where = [], []
+        for (pairs, lows, highs, rank), length, (values, _) in zip(ends, box, t.placements.axes):
+            # The type's pairs run together: their numbers k * len(values) + i
+            # come before the next type's. A center minus half the box is
+            # (o + (o + c) - L) / 2D: int numerators that grow with the
+            # offsets, so they are distinct.
+            first = bisect_left(pairs, k * len(values))
+            last = bisect_left(pairs, (k + 1) * len(values), first)
+            nums.append([lo + hi - length for lo, hi in zip(lows[first:last], highs[first:last])])
+            where.append(rank[mine] - first)
+        yield k, nums, where
+
+
+def phase_terms(t: Tiling) -> int:
+    """Terms `residual_sample` sums per sample point.
+
+    Per brick type: the points of its lattice of centers when it is summed
+    by contraction, else its placements (see the module docstring). Raises
+    GridTooLarge as `residual_sample` does.
+    """
+    return sum(_terms(list(map(len, nums)), len(where[0])) for _, nums, where in _centers(t))
 
 
 # Overflow shows as a non-finite residual, which raises, not as a warning.
@@ -341,15 +426,17 @@ def residual_sample(
     point as evaluated, a tuple of Python floats, whatever number type the
     points came in.
 
-    Phases come from per-axis tables, summed over chunks of points, by
-    contraction over each brick type's lattice of centers or, when its
-    placements fill less than half of it, over blocks of placements (see
-    the module docstring), so working memory does not grow with points
-    times placements. Raises GridTooLarge when the tiling's offsets are
-    too fine for its integer frame, as `verify_tiling_geometric` does, and
-    ValueError when a sample point or a residual is not finite (frequencies
-    too large for the box overflow its transforms), so no report ever
-    holds NaN.
+    Phases and transforms come from one bank of exponentials per chunk of
+    points, the phases through per-axis tables, summed by contraction over
+    each brick type's lattice of centers or, when its placements fill less
+    than half of it, over blocks of placements (see the module docstring),
+    so working memory does not grow with points times placements. The
+    tiling's integer frame is built once per tiling, on first use, and
+    shared with the verifier and the SVG writer. Raises GridTooLarge when
+    the tiling's offsets are too fine for that frame, as
+    `verify_tiling_geometric` does, and ValueError when a sample point or a
+    residual is not finite (frequencies too large for the box overflow its
+    transforms), so no report ever holds NaN.
     """
     if len(points) == 0:
         raise ValueError("need at least one sample point")
@@ -364,29 +451,50 @@ def residual_sample(
         raise ValueError("box volume below double range")
     if math.isinf(box_volume):
         raise ValueError("box volume above double range")
-    scale, box, _, ends = _integer_frame(t)
-    kinds = t.placements.kinds
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for k, brick in enumerate(t.bricks):
-        mine = kinds == k
-        if not mine.any():
-            continue
-        plans, where, shape = [], [], []
-        for (_, lows, highs, rank), length, unit in zip(ends, box, scale):
-            # The type's pairs run together, from its least rank to its
-            # greatest. A center minus half the box is (o + (o + c) - L) / 2D:
-            # int numerators that grow with the offsets, so they are distinct.
-            rows = rank[mine]
-            first, last = int(rows.min()), int(rows.max()) + 1
-            nums = [lo + hi - length for lo, hi in zip(lows[first:last], highs[first:last])]
-            plans.append(_table_plan(nums, 2 * unit))
-            where.append(rows - first)
-            shape.append(last - first)
-        total += _phase_sum(pts, plans, where, shape) * _box_transform_batch(brick.dims, pts)
-    resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
+    scale, box, bricks, _ = t._frame
+    types, needs = [], [[] for _ in box]
+    for k, nums, where in _centers(t):
+        plans = list(map(_table_plan, nums))
+        for need, (ints, _) in zip(needs, plans):
+            need += ints
+        types.append((k, plans, *_summation(where, list(map(len, nums)))))
+    extents = [
+        list(dict.fromkeys([length, *(bricks[k][ax] for k, *_ in types)]))
+        for ax, length in enumerate(box)
+    ]
+    plan, row = _bank_plan(scale, extents, needs)
+    axis, _, boxes, _ = plan
+    # The transform factors' rows are the extents' (the bank's first rows):
+    # their values at xi = 0, and their axes.
+    floats = np.array([n / scale[ax] for ax, given in enumerate(extents) for n in given])
+    ext_axis = axis[: len(floats)]
+    # Per type: its tables' bank rows, in the order its summation takes
+    # the axes, its brick extents' rows, and its summation.
+    sums, work = [], 0
+    for k, plans, order, summed, lines in types:
+        sources = [
+            np.array([row[ax, n] for n in ints])[source]
+            for ax, (ints, source) in enumerate(plans)
+        ]
+        extent_rows = [row[ax, c] for ax, c in enumerate(bricks[k])]
+        sums.append(([sources[ax] for ax in order], extent_rows, summed))
+        work = max(work, sum(s.size for s in sources) + lines)
+    chunk = max(1, _BLOCK_ENTRIES // (len(row) + len(floats) + work))
+    resid = np.empty(len(pts))
+    for lo in range(0, len(pts), chunk):
+        x = pts[lo : lo + chunk].T
+        bank = _bank(x, *plan)
+        factor = bank[: len(floats)].imag / (np.pi * x[ext_axis])
+        if not x.all():  # where 0/0 read nan
+            np.copyto(factor, floats[:, None], where=x[ext_axis] == 0.0)
+        total = 0
+        for sources, extent_rows, summed in sums:
+            phases = summed([_phase_table(bank, s) for s in sources])
+            total = total + phases * np.multiply.reduce(factor[extent_rows])
+        resid[lo : lo + chunk] = np.abs(total - np.multiply.reduce(factor[boxes]))
     if not np.isfinite(resid).all():
         raise ValueError("sample frequencies too large for the box: a residual is not finite")
-    peak = int(np.argmax(resid))
+    peak = int(resid.argmax())
     return SpectralReport(
         samples=len(points),
         max_abs_residual=float(resid[peak]),

@@ -1,9 +1,9 @@
 """Helpers shared by the test files.
 
-`interiors_disjoint` and `rational_gcd` are plain references that the
-library does not use; the tests check the verifier and the grid against
-them. `box_transform` evaluates the library's own transform formula at one
-frequency.
+`interiors_disjoint`, `rational_gcd` and `box_transform_batch` are plain
+references that the library does not use; the tests check the verifier,
+the grid and the spectral sampler against them. `box_transform` evaluates
+`box_transform_batch` at one frequency.
 """
 
 import math
@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from brickbox import frac
-from brickbox.spectral import _box_transform_batch
 
 
 def interiors_disjoint(p, q, bricks) -> bool:
@@ -47,12 +46,28 @@ def rational_gcd(x, y) -> Fraction:
     )
 
 
+@np.errstate(invalid="ignore")
+def box_transform_batch(dims, pts: np.ndarray) -> np.ndarray:
+    """Transform of the centered box with extents `dims` at each row of `pts`.
+
+    prod_j sin(pi * c_j * xi_j) / (pi * xi_j), one np.sin per axis, with
+    c_j where xi_j = 0 (where the formula reads 0/0).
+    """
+    out = np.ones(pts.shape[0])
+    for c, x in zip(dims, pts.T):
+        cf = float(c)
+        factor = np.sin(np.pi * cf * x) / (np.pi * x)
+        factor[x == 0.0] = cf
+        out *= factor
+    return out
+
+
 def box_transform(dims, xi) -> float:
     """Transform of the centered box with extents `dims` at frequency xi.
 
-    One row of `spectral._box_transform_batch`, the formula `residual_sample`
-    evaluates; a float too large for a double raises OverflowError.
+    One row of `box_transform_batch`; a float too large for a double raises
+    OverflowError.
     """
     if len(dims) != len(xi):
         raise ValueError("dims and frequency have different lengths")
-    return float(_box_transform_batch(dims, np.array([[float(x) for x in xi]]))[0])
+    return float(box_transform_batch(dims, np.array([[float(x) for x in xi]]))[0])

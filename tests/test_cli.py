@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from brickbox import ThreeBrickInstance, cli, geometry, make_instance, pinwheel_tiling
+from brickbox import (
+    ThreeBrickInstance,
+    cli,
+    geometry,
+    make_instance,
+    pinwheel_tiling,
+    random_frequencies,
+)
 from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
 
@@ -229,6 +236,34 @@ def test_spectral_samples_are_capped_before_any_point_is_drawn(capsys, tmp_path,
                          "--samples", str(cli.SAMPLE_CAP + 1))
     assert (code, out) == (3, "")
     assert err == "budget exhausted: 1000001 samples, cap is 1000000\n"
+
+
+def test_spectral_work_is_capped_before_any_point_is_drawn(capsys, tmp_path, monkeypatch):
+    # 1600 unit squares are contracted over their 40 x 40 lattice: 1600
+    # terms per sample. Samples times terms over the cap exit 3 once the
+    # tiling is read, before random_frequencies could draw anything; at the
+    # cap the run goes ahead and keeps its verdict.
+    squares = str(tmp_path / "squares.json")
+    assert run(capsys, "tile", "--box", "40,40", "--brick", "1,1", "--output", squares)[0] == 0
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return random_frequencies(*args)
+
+    monkeypatch.setattr(cli, "random_frequencies", counted)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "spectral", "--input", squares, "--samples", "1000000")
+    assert time.perf_counter() - started < 2
+    assert (code, out, drawn) == (3, "", [])
+    assert err == "budget exhausted: 1000000 samples × 1600 terms, cap is 1000000000\n"
+    monkeypatch.setattr(cli, "WORK_CAP", 16000)
+    code, out, err = run(capsys, "spectral", "--input", squares, "--samples", "11")
+    assert (code, out, drawn) == (3, "", [])
+    assert err == "budget exhausted: 11 samples × 1600 terms, cap is 16000\n"
+    code, out, _ = run(capsys, "spectral", "--input", squares, "--samples", "10",
+                       "--tolerance", "1e-9")
+    assert code == 0 and json.loads(out)["samples"] == 10 and len(drawn) == 1
 
 
 def test_spectral_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):

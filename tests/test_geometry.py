@@ -32,8 +32,11 @@ from brickbox import (
     lift_to_dimension,
     make_instance,
     pinwheel_tiling,
+    random_frequencies,
+    residual_sample,
     rows_to_tiling,
     solve_exact_cover,
+    tiling_to_svg,
     verify_tiling_geometric,
     volume,
 )
@@ -673,6 +676,60 @@ def test_frame_slack_is_counted_from_the_box_and_bricks():
     assert verify_tiling_geometric(_pair_in_line(64)) == VerifyOutcome("overlap", (0, 1))
     with pytest.raises(GridTooLarge, match=r"on axis 0 by more than 2\*\*64"):
         verify_tiling_geometric(_pair_in_line(65))
+
+
+def test_verify_sample_and_render_build_the_frame_once(monkeypatch):
+    # Verifying, sampling and drawing one tiling build its integer frame
+    # once; a second tiling builds its own.
+    built = []
+
+    def counted(t, run=geometry._integer_frame):
+        built.append(t)
+        return run(t)
+
+    monkeypatch.setattr(geometry, "_integer_frame", counted)
+    t = pinwheel_tiling(make_instance(5))
+    assert verify_tiling_geometric(t).ok
+    assert residual_sample(t, random_frequencies(2, 50, seed=0)).max_abs_residual < 1e-9
+    assert tiling_to_svg(t).count("<rect") == len(t.placements) + 1
+    assert verify_tiling_geometric(t).ok
+    assert built == [t]
+    other = pinwheel_tiling(make_instance(4))
+    verify_tiling_geometric(other)
+    assert len(built) == 2 and built[1] is other
+
+
+def test_a_built_frame_leaves_the_tiling_value_alone():
+    # Equality, hash, repr and the pickled form read the fields alone, and
+    # an unpickled tiling builds its frame again on first use.
+    t = pinwheel_tiling(make_instance(4))
+    fresh = pickle.loads(pickle.dumps(t))
+    before = (hash(t), repr(t), pickle.dumps(t))
+    assert verify_tiling_geometric(t).ok and "_frame" in vars(t)
+    assert (hash(t), repr(t), pickle.dumps(t)) == before
+    assert t == fresh and fresh == t and hash(fresh) == hash(t)
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and "_frame" not in vars(again)
+    assert verify_tiling_geometric(again).ok and again._frame[1] == t._frame[1]
+
+
+def test_frame_refusal_comes_from_each_reader_and_is_not_kept():
+    # A tiling whose offsets are too fine for its frame is built without
+    # complaint; every reader of the frame raises, every time it is called.
+    t = Tiling(
+        bricks=(Brick((F(1, 2), 1)),),
+        placements=(Placement(0, (F(1, 3**50), 0)),),
+        box=BoxSpec((1, 1)),
+    )
+    for _ in range(2):
+        for read in (
+            verify_tiling_geometric,
+            tiling_to_svg,
+            lambda t: residual_sample(t, [(0.0, 0.0)]),
+        ):
+            with pytest.raises(GridTooLarge, match="refine the integer frame on axis 0"):
+                read(t)
+    assert "_frame" not in vars(t)
 
 
 def test_many_coprime_offset_denominators_are_refused_before_scaling():

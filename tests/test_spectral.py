@@ -25,6 +25,7 @@ from brickbox import (
     in_zero_set_Z,
     key_observation_holds,
     key_observation_witness,
+    lift_to_dimension,
     make_instance,
     one_brick_tiling,
     pinwheel_tiling,
@@ -34,8 +35,8 @@ from brickbox import (
 )
 from brickbox import spectral
 from brickbox.serialization import spectral_report_to_obj
-from brickbox.spectral import SpectralReport, _box_transform_batch, _phase_table, _table_plan
-from references import box_transform, interiors_disjoint, rational_gcd
+from brickbox.spectral import SpectralReport, _bank, _bank_plan, _phase_table, _table_plan
+from references import box_transform, box_transform_batch, interiors_disjoint, rational_gcd
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -100,8 +101,8 @@ def dense_residual(t, points):
         if centers:
             lam = np.array(centers, dtype=float)
             phases = np.exp(2j * np.pi * (pts @ lam.T)).sum(axis=1)
-            total += phases * _box_transform_batch(brick.dims, pts)
-    resid = np.abs(total - _box_transform_batch(t.box.dims, pts))
+            total += phases * box_transform_batch(brick.dims, pts)
+    resid = np.abs(total - box_transform_batch(t.box.dims, pts))
     peak = int(np.argmax(resid))
     return float(resid[peak]), tuple(points[peak])
 
@@ -329,11 +330,11 @@ RESIDUAL_SEED = 20261018
 TOLERANCE = 1e-9
 
 
-def _certificate_tiling(rng):
-    """A certificate tiling of a planted two-brick SAT box, d = 2 or 3,
+def _certificate_tiling(rng, dims=(2, 3)):
+    """A certificate tiling of a planted two-brick SAT box, d one of `dims`,
     with rational extents."""
     while True:
-        d = rng.randint(2, 3)
+        d = rng.choice(dims)
         a = [F(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
         b = [x * rng.choice((1, 2, 3, F(1, 2), F(2, 3))) for x in a]
         box = [x * y / rational_gcd(x, y) * rng.randint(1, 3) for x, y in zip(a, b)]
@@ -367,11 +368,17 @@ def _mutant(rng, t):
     return Tiling(bricks=t.bricks, placements=tuple(placements), box=t.box)
 
 
-def _matches_dense_reference(t, case):
+def _matches_dense_reference(t, case, zeros=False):
     """`residual_sample` at 1000 points seeded by `case` against
     `dense_residual`: the same verdict, |delta| <= 1e-12 and, on rejection,
-    the same witness. Returns the verdict."""
+    the same witness. With `zeros`, every third point has a coordinate 0
+    and every seventh another one (so some points are 0 on every axis for
+    d <= 2). Returns the verdict."""
     points = random_frequencies(t.box.dim, 1000, seed=case)
+    if zeros:
+        points = points.copy()
+        points[::3, case % t.box.dim] = 0.0
+        points[::7, (case + 1) % t.box.dim] = 0.0
     report = residual_sample(t, points)
     dense, witness = dense_residual(t, points)
     accepted = report.max_abs_residual < TOLERANCE
@@ -391,6 +398,80 @@ def test_residual_matches_dense_reference_on_seeded_corpus():
             t = _mutant(rng, t)
         verdicts[_matches_dense_reference(t, case)] += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _bank_case(rng, case):
+    """A tiling whose banks take one of the derivations or fallbacks:
+    certificate tilings in d = 4, whose second brick type starts past 0 on
+    its split axis; 1-d strips, whose second type starts past 0 and, past
+    64 pieces, has more than 32 centers; oracle tilings by bars and
+    pinwheels, whose gaps are not twice a brick extent; one-brick and
+    lifted tilings, with brick extents equal to the box's; and grids with
+    more than 32 rows of unit squares on one axis."""
+    kind = case % 6
+    if kind == 0:
+        return _certificate_tiling(rng, dims=(4,))
+    if kind == 1:
+        return _strip(rng.randint(2, 90), kinds=rng.choice((1, 2)))
+    if kind == 2:
+        k = rng.randint(2, 4)
+        sides = [k * rng.randint(1, 12 // k), rng.randint(k, 12)]
+        rng.shuffle(sides)
+        unit = F(1, rng.randint(1, 4))
+        bars = [Brick((unit, k * unit)), Brick((k * unit, unit))]
+        return exact_cover_tileable(BoxSpec([x * unit for x in sides]), bars).tiling
+    if kind == 3:
+        t = pinwheel_tiling(make_instance(rng.randint(4, 7)))
+        return lift_to_dimension(t, 4) if rng.random() < 0.5 else t
+    if kind == 4:
+        # One brick as long as the box on one axis, a count-th of it on the other.
+        side, count = F(rng.randint(1, 9), rng.randint(1, 4)), rng.randint(1, 40)
+        other = count * F(1, rng.randint(1, 3))
+        box, brick = [side, other], [side, other / count]
+        if rng.random() < 0.5:
+            box.reverse()
+            brick.reverse()
+        return one_brick_tiling(BoxSpec(box), Brick(brick))
+    rows, cols = rng.randint(33, 70), rng.randint(1, 3)
+    return Tiling(
+        bricks=(Brick((1, 1)),),
+        placements=tuple(Placement(0, (F(i), F(j))) for i in range(rows) for j in range(cols)),
+        box=BoxSpec((rows, cols)),
+    )
+
+
+def test_every_bank_derivation_and_fallback_matches_dense_reference(monkeypatch):
+    # Rows n = 2c (h_c * h_c) and n = c - L (h_c * conj(h_L)) are derived;
+    # block heads past the first, first centers past offset 0 and gaps that
+    # are not twice an extent are direct exponentials; brick extents equal
+    # to the box's, points with coordinates 0, d = 1 and d = 4, and more
+    # than 32 centers on an axis all occur. Each case runs with its mutant.
+    seen = {"square": 0, "conjugate": 0, "direct": 0, "equal extent": 0, "long axis": 0}
+
+    def spy(scale, extents, needs, run=spectral._bank_plan):
+        plan, row = run(scale, extents, needs)
+        _, coefficients, boxes, pairs = plan
+        conjugates = range(len(coefficients), len(coefficients) + len(boxes))
+        seen["square"] += int((pairs[:, 0] == pairs[:, 1]).sum())
+        seen["conjugate"] += int(np.isin(pairs[:, 1], conjugates).sum())
+        seen["direct"] += len(coefficients) - sum(map(len, extents))
+        return plan, row
+
+    monkeypatch.setattr(spectral, "_bank_plan", spy)
+    rng = random.Random(RESIDUAL_SEED + 3)
+    verdicts = {True: 0, False: 0}
+    dims = set()
+    for case in range(180):
+        t = _bank_case(rng, case)
+        dims.add(t.box.dim)
+        if any(b.dims[ax] == t.box.dims[ax] for b in t.bricks for ax in range(t.box.dim)):
+            seen["equal extent"] += 1
+        if max(len(values) for values, _ in t.placements.axes) > 32:
+            seen["long axis"] += 1
+        for tiling in (t, _mutant(rng, t)):
+            verdicts[_matches_dense_reference(tiling, case, zeros=case % 2 == 0)] += 1
+    assert dims == {1, 2, 4} and min(verdicts.values()) >= 150, (dims, verdicts)
+    assert min(seen.values()) >= 20, seen
 
 
 def _strip(count, kinds):
@@ -509,15 +590,16 @@ def test_array_and_tuple_points_give_bit_identical_reports():
 def _center_sets(rng):
     """(gap pattern, numerators, unit): sorted distinct centers numerators / unit.
 
-    n = 1, 2, 31, 32, 33, 65 and 1100 centers with equal, two alternating and
-    seeded irregular gaps, on a small unit and on one 2**64 times finer than
-    its box needs (the frame slack), where neighbouring centers round to one
-    double.
+    n = 1, 2, 31, 32, 33, 65 and 1100 centers with equal odd, equal even, two
+    alternating and seeded irregular gaps, on a small unit and on one 2**64
+    times finer than its box needs (the frame slack), where neighbouring
+    centers round to one double.
     """
     for n in (1, 2, 31, 32, 33, 65, 1100):
         for unit in (2 * 12, 2 * 3 * 2**64):
             patterns = {
                 "equal": [1] * (n - 1),
+                "even": [2] * (n - 1),
                 "alternating": [1, 3] * (n // 2),
                 "irregular": [rng.randint(1, 10**6) for _ in range(n - 1)],
             }
@@ -530,33 +612,47 @@ def _center_sets(rng):
 
 def test_phase_table_matches_direct_exponentials():
     # Each row of a chained table is its block's first row times at most
-    # _CHAIN - 1 gap factors, so it stays within 32 ulps * (1 + |theta|) of
-    # a direct exponential of its center, theta the larger angle of the row
-    # and of its block's first row. Direct rows are bit for bit np.exp.
+    # _CHAIN - 1 gap factors, and a derived bank row is the product of two
+    # direct ones (h_c * h_c, or h_c * conj(h_L)), so every row stays within
+    # 32 ulps * (1 + |theta|) of a direct exponential of its center, theta
+    # the largest angle of the row, of its block's first row and of the box
+    # extent's row. Direct bank rows are bit for bit np.exp.
     rng = random.Random(RESIDUAL_SEED)
     xi = np.array(random_frequencies(1, 1000, seed=RESIDUAL_SEED)).ravel()
     eps = np.finfo(float).eps
-    chained = merged = 0
+    chained = merged = derived = 0
     for name, nums, unit in _center_sets(rng):
         n = len(nums)
-        coefficients, source = _table_plan(nums, unit)
+        ints, source = _table_plan(nums)
         blocks, chain = source.shape
-        table = _phase_table(xi, coefficients, source)
+        # A box extent L that the first center falls short of by a brick
+        # extent, and brick extents that are half of some even gaps: the
+        # bank derives the rows of those ints.
+        length = unit
+        halves = sorted({g // 2 for g in ints[blocks:] if g % 2 == 0})[:3]
+        plan, row = _bank_plan([unit // 2], [[length, nums[0] + length, *halves]], [ints])
+        direct = len(plan[1])
+        bank = _bank(xi[None, :], *plan)
+        table = _phase_table(bank, np.array([row[0, m] for m in ints])[source])
         assert table.shape == (source.size, len(xi)) and n <= source.size < n + blocks
+        assert row[0, nums[0]] >= direct and all(row[0, 2 * h] >= direct for h in halves)
         centers = np.array([x / unit for x in nums])
         merged += len(set(centers.tolist())) < n
-        direct = np.exp(2j * np.pi * np.multiply.outer(centers, xi))
+        exact = np.exp(2j * np.pi * np.multiply.outer(centers, xi))
         theta = 2 * np.pi * np.abs(np.multiply.outer(centers, xi))
         theta = np.maximum(theta, theta[np.arange(n) // chain * chain])
-        error = np.abs(table[:n] - direct)
+        theta = np.maximum(theta, 2 * np.pi * np.abs(length / unit * xi))
+        error = np.abs(table[:n] - exact)
         assert (error <= 32 * eps * (1 + theta)).all(), (name, n, unit)
         if chain == 1:
-            assert len(coefficients) == n and (error == 0).all()
+            assert len(ints) == n
+            assert (error[[row[0, m] < direct for m in nums]] == 0).all()
         else:
             chained += 1
+            derived += bool(halves)
         if name == "equal" and n >= 2:
-            assert len(coefficients) == -(-n // 32) + 1, (n, unit)
-    assert chained >= 20 and merged >= 10, (chained, merged)
+            assert len(ints) == -(-n // 32) + 1, (n, unit)
+    assert chained >= 20 and merged >= 10 and derived >= 10, (chained, merged, derived)
 
 
 def _unit_squares(side):
@@ -633,6 +729,19 @@ def test_random_frequencies_match_uniform_draws(dim):
                 assert isinstance(got, np.ndarray) and got.dtype == np.float64
                 assert got.shape == (count, dim) and not got.flags.writeable
                 assert _bit_patterns(got.tolist()) == _bit_patterns(expected)
+
+
+def test_random_frequencies_read_the_stream_in_blocks():
+    # The stream is read 2**16 coordinates at a time, 64 random bits each.
+    # Within and across blocks, and for no draw at all, the coordinates are
+    # bit for bit those of Random.uniform, in stream order.
+    for seed in (0, 1, -7, 2**32, 10**30):
+        for dim, count in ((2, 0), (1, 1), (3, 2000), (3, 21846), (1, 2**16 + 1)):
+            rng = random.Random(seed)
+            expected = [rng.uniform(-2.5, 2.5) for _ in range(dim * count)]
+            got = random_frequencies(dim, count, seed, 2.5)
+            assert got.shape == (count, dim)
+            assert _bit_patterns([got.ravel().tolist()]) == _bit_patterns([expected]), (seed, count)
 
 
 def test_random_frequencies_need_a_dimension():
