@@ -45,7 +45,7 @@ EXIT_BUDGET = 3
 SAMPLE_CAP = 10**6
 
 #: Most `spectral` samples times the tiling's phase terms per sample
-#: (`phase_terms`): about a second of contraction on a 2-vCPU host.
+#: (`phase_terms`): 10**9 terms took 6 to 10 seconds on a 2-vCPU host.
 WORK_CAP = 10**9
 
 

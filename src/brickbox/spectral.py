@@ -56,29 +56,26 @@ is a product of at most two exponentials times at most 31 gap factors, so
 its angle error is of the order of a direct exponential's.
 
 A brick type whose placements have R_j distinct centers on axis j has its
-centers on a lattice of prod_j R_j points. When the lattice has at most
-twice as many points as the type has placements, n (so for every
-certificate tiling, whose types fill their lattice exactly, and for every
-1-d tiling), the type is summed by contraction: its placements are counted
-per lattice point, the counts are multiplied by the table of the longest
-axis (their rows are the lattice lines along it), and each other axis is
-then summed out by a multiply-and-sum with its table. Its work per point
-grows with the lattice, and beyond the tables it holds the counts (at most
-2n entries) and, per point, one value per lattice line. Any other type is
-summed by gathering one table factor per axis and placement, in blocks of
-placements: its lattice can be far larger than n (n centers on a diagonal
-span n**d points), while the gather's time and memory grow only with n.
-The contraction runs in np.einsum without optimize and in elementwise
-numpy, never in BLAS, so its sums round the same way whatever the BLAS
-thread count. The points go in chunks so that the arrays alive at once
-(the bank and the transform factors, plus the tables, padded rows
-included, and the lattice lines of the one type being summed) hold at most
-2**16 entries, or one point's worth when that is more, and a gather block
-at most 2**16 more: memory stays bounded however many placements the
-tiling has. The products and sums round differently from a single
-exp(2*pi*i * xi.lambda) per placement, so a residual's noise digits
-(around 1e-14 on small tilings), and so which point witnesses a
-noise-level maximum, may differ from that formula.
+centers on a lattice of prod_j R_j points. Its phase sum is a base count
+times the whole lattice's sum, which is the product over axes of each
+table's sum over its R_j rows, plus its exceptions: the lattice points
+whose count of placements differs from the base, each the product of one
+gathered table factor per axis times that difference. The base is 1 when
+the lattice has at most twice as many points as the type has placements,
+n, and fewer than n of them differ from a count of 1 (a certificate or
+1-d tiling has no exceptions; a dropped or duplicated placement is one,
+of weight -1 or +1). Else it is 0 and the exceptions are the n
+placements, so time and memory grow with n, not with the lattice (n
+centers on a diagonal span n**d points). No sum calls BLAS, so the output
+does not depend on the BLAS thread count. The points go in chunks so that
+the arrays alive at once (the bank and the transform factors, plus the
+tables, padded rows included, of the one type being summed, and two
+blocks of its exceptions, each at most as many rows as the tables) hold
+at most 2**16 entries, or one point's worth when that is more: memory
+stays bounded however many placements the tiling has. The products and sums
+round differently from a single exp(2*pi*i * xi.lambda) per placement, so
+a residual's noise digits (around 1e-14 on small tilings), and so which
+point witnesses a noise-level maximum, may differ from that formula.
 
 `random_frequencies` draws the coordinates of all points as one stream,
 point by point and axis by axis, and returns them as one read-only float
@@ -97,7 +94,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -319,63 +315,41 @@ def _phase_table(bank: np.ndarray, source: np.ndarray) -> np.ndarray:
     return table.reshape(-1, bank.shape[1])
 
 
-def _terms(shape: Sequence[int], placements: int) -> int:
-    # The terms a brick type sums per point: the points of its lattice of
-    # centers, of the given shape, when they are at most twice its
-    # placements, so that it is summed by contraction; else its placements,
-    # which are gathered.
-    size = math.prod(shape)
-    return size if size <= 2 * placements else placements
-
-
 def _summation(where: list[np.ndarray], shape: list[int]) -> tuple:
-    # How a brick type's phase sum runs over a chunk's tables, one per axis
-    # with shape[ax] center rows, placement k sitting on row where[ax][k]
-    # (see the module docstring): the axes in the order its tables go, the
-    # sum, and the rows its working arrays hold per point.
+    # A brick type's base count and exceptions (see the module docstring),
+    # placement k sitting on row where[ax][k] of the shape[ax] rows of axis
+    # ax: the base, the exceptions' rows per axis, and their weights (count
+    # less base), None at base 0, where every weight is 1.
+    placements = len(where[0])
     size = math.prod(shape)
-    if _terms(shape, len(where[0])) < size:
-        return range(len(shape)), partial(_gathered_sum, where), 0
-    # The longest axis goes last, so the contraction's first step leaves
-    # the fewest lattice lines.
-    axes = sorted(range(len(shape)), key=shape.__getitem__)
-    shape = [shape[ax] for ax in axes]
-    point = np.ravel_multi_index([where[ax] for ax in axes], shape)
-    counts = np.bincount(point, minlength=size).reshape(-1, shape[-1]).astype(float)
-    return axes, partial(_lattice_sum, counts, shape), 2 * len(counts)
+    if size <= 2 * placements:
+        counts = np.bincount(np.ravel_multi_index(where, shape), minlength=size)
+        odd = np.flatnonzero(counts != 1)
+        if len(odd) < placements:
+            return 1, np.unravel_index(odd, shape), (counts[odd] - 1).astype(float)
+    return 0, where, None
 
 
-def _lattice_sum(counts: np.ndarray, shape: Sequence[int], tables: list) -> np.ndarray:
-    # Sum over the lattice of centers of each point's count times phase:
-    # the counts, one row per lattice line along the last axis, times that
-    # axis's table (as float pairs, since the counts are real); then, axis
-    # by axis from the last but one, a multiply-and-sum with the axis's
-    # table. np.einsum without optimize calls no BLAS, whose matmul rounds
-    # differently with the BLAS thread count.
-    points = tables[0].shape[1]
-    last = tables[-1][: shape[-1]].view(float)
-    term = np.einsum("ij,jk->ik", counts, last, optimize=False).view(complex)
-    for table, rows in zip(tables[-2::-1], shape[-2::-1]):
-        if rows == 1:  # so is every axis left (the axes go by length)
-            term *= table[0]
-        else:
-            term = (term.reshape(-1, rows, points) * table[:rows]).sum(axis=1)
-    return term[0]
-
-
-def _gathered_sum(where: Sequence[np.ndarray], tables: list) -> np.ndarray:
-    # The phase sum as one product of gathered factors per placement, in
-    # blocks of placements whose factors hold at most _BLOCK_ENTRIES.
-    block = max(1, _BLOCK_ENTRIES // tables[0].shape[1])
+def _phase_sum(
+    tables: list, shape: Sequence[int], base: int, rows: Sequence, weights
+) -> np.ndarray:
+    # The phase sum of a `_summation` over a chunk's tables, one per axis:
+    # at base 1, the product over axes of each table's sum over its centers'
+    # rows; plus each exception's product of one gathered factor per axis,
+    # times its weight. The exceptions go in blocks of as many rows as the
+    # tables hold, two alive at once (the running product and one gathered
+    # factor).
     total = 0
-    for first in range(0, len(where[0]), block):
-        term = None
-        for table, rows in zip(tables, where):
-            factor = table[rows[first : first + block]]
-            if term is None:
-                term = factor
-            else:
-                term *= factor
+    if base:
+        total = np.multiply.reduce([table[:n].sum(axis=0) for table, n in zip(tables, shape)])
+    block = sum(map(len, tables))
+    for first in range(0, len(rows[0]), block):
+        picked = slice(first, first + block)
+        term = tables[0][rows[0][picked]]
+        for table, at in zip(tables[1:], rows[1:]):
+            term *= table[at[picked]]
+        if weights is not None:
+            term *= weights[picked, None]
         total = total + term.sum(axis=0)
     return total
 
@@ -403,11 +377,16 @@ def _centers(t: Tiling) -> Iterator[tuple[int, list[list[int]], list[np.ndarray]
 def phase_terms(t: Tiling) -> int:
     """Terms `residual_sample` sums per sample point.
 
-    Per brick type: the points of its lattice of centers when it is summed
-    by contraction, else its placements (see the module docstring). Raises
-    GridTooLarge as `residual_sample` does.
+    Per brick type: one per row of its per-axis phase tables, a row per
+    distinct center on each axis, and one per factor it gathers, one per
+    axis and exception (see the module docstring). Raises GridTooLarge as
+    `residual_sample` does.
     """
-    return sum(_terms(list(map(len, nums)), len(where[0])) for _, nums, where in _centers(t))
+    total = 0
+    for _, nums, where in _centers(t):
+        shape = list(map(len, nums))
+        total += sum(shape) + len(shape) * len(_summation(where, shape)[1][0])
+    return total
 
 
 # Overflow shows as a non-finite residual, which raises, not as a warning.
@@ -427,13 +406,13 @@ def residual_sample(
     points came in.
 
     Phases and transforms come from one bank of exponentials per chunk of
-    points, the phases through per-axis tables, summed by contraction over
-    each brick type's lattice of centers or, when its placements fill less
-    than half of it, over blocks of placements (see the module docstring),
-    so working memory does not grow with points times placements. The
-    tiling's integer frame is built once per tiling, on first use, and
-    shared with the verifier and the SVG writer. Raises GridTooLarge when
-    the tiling's offsets are too fine for that frame, as
+    points, the phases through per-axis tables, summed per brick type as a
+    base count times the product of its tables' row sums plus a gather, in
+    blocks, of the lattice points that differ from that base (see the
+    module docstring), so working memory does not grow with points times
+    placements. The tiling's integer frame is built once per tiling, on
+    first use, and shared with the verifier and the SVG writer. Raises
+    GridTooLarge when the tiling's offsets are too fine for that frame, as
     `verify_tiling_geometric` does, and ValueError when a sample point or a
     residual is not finite (frequencies too large for the box overflow its
     transforms), so no report ever holds NaN.
@@ -457,7 +436,8 @@ def residual_sample(
         plans = list(map(_table_plan, nums))
         for need, (ints, _) in zip(needs, plans):
             need += ints
-        types.append((k, plans, *_summation(where, list(map(len, nums)))))
+        shape = list(map(len, nums))
+        types.append((k, plans, shape, _summation(where, shape)))
     extents = [
         list(dict.fromkeys([length, *(bricks[k][ax] for k, *_ in types)]))
         for ax, length in enumerate(box)
@@ -468,17 +448,18 @@ def residual_sample(
     # their values at xi = 0, and their axes.
     floats = np.array([n / scale[ax] for ax, given in enumerate(extents) for n in given])
     ext_axis = axis[: len(floats)]
-    # Per type: its tables' bank rows, in the order its summation takes
-    # the axes, its brick extents' rows, and its summation.
+    # Per type: its tables' bank rows, its brick extents' rows, and its
+    # summation. It holds its tables and two blocks of gathered rows.
     sums, work = [], 0
-    for k, plans, order, summed, lines in types:
+    for k, plans, shape, summation in types:
         sources = [
             np.array([row[ax, n] for n in ints])[source]
             for ax, (ints, source) in enumerate(plans)
         ]
         extent_rows = [row[ax, c] for ax, c in enumerate(bricks[k])]
-        sums.append(([sources[ax] for ax in order], extent_rows, summed))
-        work = max(work, sum(s.size for s in sources) + lines)
+        sums.append((sources, extent_rows, shape, summation))
+        held = sum(s.size for s in sources)
+        work = max(work, held + 2 * min(len(summation[1][0]), held))
     chunk = max(1, _BLOCK_ENTRIES // (len(row) + len(floats) + work))
     resid = np.empty(len(pts))
     for lo in range(0, len(pts), chunk):
@@ -488,8 +469,8 @@ def residual_sample(
         if not x.all():  # where 0/0 read nan
             np.copyto(factor, floats[:, None], where=x[ext_axis] == 0.0)
         total = 0
-        for sources, extent_rows, summed in sums:
-            phases = summed([_phase_table(bank, s) for s in sources])
+        for sources, extent_rows, shape, summation in sums:
+            phases = _phase_sum([_phase_table(bank, s) for s in sources], shape, *summation)
             total = total + phases * np.multiply.reduce(factor[extent_rows])
         resid[lo : lo + chunk] = np.abs(total - np.multiply.reduce(factor[boxes]))
     if not np.isfinite(resid).all():

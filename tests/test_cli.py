@@ -239,12 +239,19 @@ def test_spectral_samples_are_capped_before_any_point_is_drawn(capsys, tmp_path,
 
 
 def test_spectral_work_is_capped_before_any_point_is_drawn(capsys, tmp_path, monkeypatch):
-    # 1600 unit squares are contracted over their 40 x 40 lattice: 1600
-    # terms per sample. Samples times terms over the cap exit 3 once the
-    # tiling is read, before random_frequencies could draw anything; at the
-    # cap the run goes ahead and keeps its verdict.
-    squares = str(tmp_path / "squares.json")
-    assert run(capsys, "tile", "--box", "40,40", "--brick", "1,1", "--output", squares)[0] == 0
+    # 1000 unit squares on the diagonal of a 1000 x 1000 box fill a
+    # thousandth of their lattice, so each is gathered: 1000 table rows per
+    # axis plus 2 factors per square, 4000 terms per sample. Samples times
+    # terms over the cap exit 3 once the tiling is read, before
+    # random_frequencies could draw anything; at the cap the run goes ahead
+    # and keeps its verdict (not a tiling).
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps(tiling_to_obj(geometry.Tiling(
+        bricks=(geometry.Brick((1, 1)),),
+        placements=tuple(geometry.Placement(0, (i, i)) for i in range(1000)),
+        box=geometry.BoxSpec((1000, 1000)),
+    ))))
+    diagonal = str(diagonal)
     drawn = []
 
     def counted(*args):
@@ -253,17 +260,17 @@ def test_spectral_work_is_capped_before_any_point_is_drawn(capsys, tmp_path, mon
 
     monkeypatch.setattr(cli, "random_frequencies", counted)
     started = time.perf_counter()
-    code, out, err = run(capsys, "spectral", "--input", squares, "--samples", "1000000")
+    code, out, err = run(capsys, "spectral", "--input", diagonal, "--samples", "1000000")
     assert time.perf_counter() - started < 2
     assert (code, out, drawn) == (3, "", [])
-    assert err == "budget exhausted: 1000000 samples × 1600 terms, cap is 1000000000\n"
-    monkeypatch.setattr(cli, "WORK_CAP", 16000)
-    code, out, err = run(capsys, "spectral", "--input", squares, "--samples", "11")
+    assert err == "budget exhausted: 1000000 samples × 4000 terms, cap is 1000000000\n"
+    monkeypatch.setattr(cli, "WORK_CAP", 40000)
+    code, out, err = run(capsys, "spectral", "--input", diagonal, "--samples", "11")
     assert (code, out, drawn) == (3, "", [])
-    assert err == "budget exhausted: 11 samples × 1600 terms, cap is 16000\n"
-    code, out, _ = run(capsys, "spectral", "--input", squares, "--samples", "10",
+    assert err == "budget exhausted: 11 samples × 4000 terms, cap is 40000\n"
+    code, out, _ = run(capsys, "spectral", "--input", diagonal, "--samples", "10",
                        "--tolerance", "1e-9")
-    assert code == 0 and json.loads(out)["samples"] == 10 and len(drawn) == 1
+    assert code == 1 and json.loads(out)["samples"] == 10 and len(drawn) == 1
 
 
 def test_spectral_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):

@@ -546,28 +546,40 @@ def _sparse_lattice_tiling(rng):
 
 
 def test_both_phase_sum_paths_match_dense_reference_on_sparse_lattices(monkeypatch):
-    # Brick types whose centers fill at least half of their lattice are
-    # contracted over it; the diagonal copies fill less and are gathered
-    # per placement. Every case runs one path or both.
-    ran = set()
-    for name in ("_lattice_sum", "_gathered_sum"):
-        def spy(*args, run=getattr(spectral, name), name=name):
-            ran.add(name)
-            return run(*args)
+    # A brick type whose centers fill at least half of their lattice, such
+    # as each original type here less its diagonal, sums the whole lattice
+    # at base 1 and gathers the points that differ from it (the diagonal's,
+    # weight -1; a duplicate's, +1); the diagonal copies fill less and have
+    # base 0, gathering every placement. Ten more cases put one placement
+    # three times over, a weight of +2.
+    bases = {"1 with exceptions": 0, "0": 0}
+    weights = set()
 
-        monkeypatch.setattr(spectral, name, spy)
+    def spy(where, shape, run=spectral._summation):
+        base, rows, weight = summation = run(where, shape)
+        if base == 0:
+            bases["0"] += 1
+        elif len(rows[0]):
+            bases["1 with exceptions"] += 1
+            weights.update(weight.tolist())
+        return summation
+
+    monkeypatch.setattr(spectral, "_summation", spy)
     rng = random.Random(RESIDUAL_SEED + 1)
-    paths = {"_lattice_sum": 0, "_gathered_sum": 0}
     verdicts = {True: 0, False: 0}
     for case in range(200):
         t = _sparse_lattice_tiling(rng)
         if case % 2:
             t = _mutant(rng, t)
-        ran.clear()
         verdicts[_matches_dense_reference(t, case)] += 1
-        for name in ran:
-            paths[name] += 1
-    assert min(paths.values()) >= 50 and min(verdicts.values()) >= 50, (paths, verdicts)
+    assert min(bases.values()) >= 50 and min(verdicts.values()) >= 50, (bases, verdicts)
+    assert min(weights) < 0 < max(weights), weights
+    for case in range(200, 210):
+        t = _sparse_lattice_tiling(rng)
+        tripled = tuple(t.placements) + (t.placements[rng.randrange(len(t.placements))],) * 2
+        t = Tiling(bricks=t.bricks, placements=tripled, box=t.box)
+        assert not _matches_dense_reference(t, case)
+    assert max(weights) > 1, weights
 
 
 def test_array_and_tuple_points_give_bit_identical_reports():
@@ -674,21 +686,31 @@ def _diagonal(side, d):
     )
 
 
+def _dropped_and_duplicated(t):
+    """`t` less its placement 1234, plus a second copy of placement 4321."""
+    placements = tuple(t.placements)
+    kept = placements[:1234] + placements[1235:] + placements[4321:4322]
+    return Tiling(bricks=t.bricks, placements=kept, box=t.box)
+
+
 @pytest.mark.parametrize(
     "build, tiles",
     [
         (lambda: _unit_squares(200), True),
+        (lambda: _dropped_and_duplicated(_unit_squares(200)), False),
         (lambda: _strip(10_000, kinds=2), True),
         (lambda: _diagonal(100, 4), False),
     ],
-    ids=["grid", "strip", "diagonal"],
+    ids=["grid", "grid with exceptions", "strip", "diagonal"],
 )
 def test_residual_memory_does_not_grow_with_the_tiling(build, tiles):
     # 40 000 unit squares (200 distinct centers per axis) and 10 000 strip
     # pieces (all centers distinct), at 1000 points: the dense form holds a
     # 1000 x n complex array, 640 MB and 160 MB; chunks and blocks keep the
-    # peak small. The 100 diagonal hypercubes' lattice has 10**8 points, so
-    # contracting over it would take 800 MB of counts alone.
+    # peak small. The grid less one square and with another doubled sums
+    # its whole lattice and gathers those two points. The 100 diagonal
+    # hypercubes' lattice has 10**8 points, so counting placements over it
+    # would take 800 MB alone.
     t = build()
     points = random_frequencies(t.box.dim, 1000, seed=0)
     tracemalloc.start()
