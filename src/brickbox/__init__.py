@@ -22,6 +22,7 @@ from .exactcover import (
     CoverOutcome,
     CoverProblem,
     CoverRow,
+    CoverRows,
     GridModel,
     GridTooLarge,
     TileOutcome,

@@ -18,7 +18,12 @@ gcd test alone, so the check stays bounded):
   brick cell volumes.
 
 The rows come from one numpy stencil per brick type: the footprint's cell
-ids broadcast over the base cell of every in-bounds offset.
+ids broadcast over the base cell of every in-bounds offset. A cover problem
+holds them as columns, the way `Placements` holds a tiling: the row id
+where each brick type's rows start, each row's base cell id and each row's
+cell ids as a tuple. Its `rows` reads them as `CoverRow` values, each one
+built only when it is read; the solver, `rows_to_tiling` and
+`cover_matrix_text` read the columns.
 
 The search is Knuth's Algorithm X over one set of live row ids per column
 plus the header ring of Dancing Links (Knuth, arXiv cs/0011047): the
@@ -44,10 +49,11 @@ and outcomes are immutable values, and independent runs do not interfere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
-from typing import Sequence
+from operator import mul
 
 import numpy as np
 
@@ -88,12 +94,83 @@ class CoverRow:
     cells: tuple[int, ...]
 
 
+def _strides(shape: Sequence[int]) -> tuple[int, ...]:
+    return tuple(math.prod(shape[ax + 1 :]) for ax in range(len(shape)))
+
+
+class CoverRows(Sequence):
+    """A cover problem's rows as columns, read as `CoverRow` values.
+
+    Rows run grouped by brick type in increasing type: `starts[k]` is the
+    first row id of type k. `bases[r]` is the row-major cell id of row r's
+    offset on a grid of `shape` cells (the sum of the offset times
+    `strides`), and `cells[r]` the cell ids it covers. Reading a row builds
+    its `CoverRow`; nothing else does.
+    """
+
+    __slots__ = ("starts", "bases", "cells", "strides")
+
+    def __init__(self, shape: Sequence[int], starts: tuple, bases: tuple, cells: tuple) -> None:
+        self.starts, self.bases, self.cells = starts, bases, cells
+        self.strides = _strides(shape)
+
+    def _offset(self, base: int) -> tuple[int, ...]:
+        offset = []
+        for stride in self.strides:
+            o, base = divmod(base, stride)
+            offset.append(o)
+        return tuple(offset)
+
+    def _row(self, rid: int) -> CoverRow:
+        brick = bisect_right(self.starts, rid) - 1
+        return CoverRow(brick, self._offset(self.bases[rid]), self.cells[rid])
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, index):
+        at = range(len(self.cells))[index]
+        return tuple(map(self._row, at)) if isinstance(at, range) else self._row(at)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
+
+
+def _columns(shape: Sequence[int], rows: tuple[CoverRow, ...]) -> CoverRows:
+    # The columns of hand-built rows, which must run grouped by brick type
+    # and have their offsets in the grid.
+    bricks = [row.brick for row in rows]
+    if bricks != sorted(bricks) or bricks and bricks[0] < 0:
+        raise ValueError("cover rows must run grouped by brick type, in increasing type")
+    starts = tuple(bisect_left(bricks, k) for k in range(bricks[-1] + 1 if bricks else 0))
+    strides = _strides(shape)
+    bases = tuple(sum(map(mul, row.offset, strides)) for row in rows)
+    view = CoverRows(shape, starts, bases, tuple(tuple(row.cells) for row in rows))
+    for rid, row in enumerate(rows):
+        if view._offset(bases[rid]) != tuple(row.offset):
+            raise ValueError(f"cover row {rid} has offset {row.offset} outside the grid")
+    return view
+
+
 @dataclass(frozen=True)
 class CoverProblem:
-    """Exact-cover instance: one column per grid cell, one row per placement."""
+    """Exact-cover instance: one column per grid cell, one row per placement.
+
+    `rows` may be given as any sequence of `CoverRow`s; it is held as a
+    `CoverRows` view of columns.
+    """
 
     grid: GridModel
-    rows: tuple[CoverRow, ...]
+    rows: CoverRows
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, CoverRows):
+            object.__setattr__(self, "rows", _columns(self.grid.cells, tuple(self.rows)))
 
     @property
     def n_columns(self) -> int:
@@ -165,21 +242,21 @@ def build_cover_problem(grid: GridModel) -> CoverProblem:
     no rows.
     """
     ids = np.arange(grid.cell_count, dtype=np.int64).reshape(grid.cells)
-    rows: list[CoverRow] = []
-    for brick_idx, footprint in enumerate(grid.brick_footprints):
+    starts: list[int] = []
+    bases: list[int] = []
+    cells: list[tuple[int, ...]] = []
+    for footprint in grid.brick_footprints:
+        starts.append(len(cells))
         spans = [c - f + 1 for c, f in zip(grid.cells, footprint)]
         if min(spans) < 1:
             continue
         # Row-major ids are linear: the cell at offset + rel has id(offset) + id(rel).
         base = ids[tuple(map(slice, spans))].reshape(-1, 1)
         covered = base + ids[tuple(map(slice, footprint))].reshape(1, -1)
-        rows.extend(map(
-            CoverRow,
-            repeat(brick_idx),
-            product(*map(range, spans)),
-            map(tuple, covered.tolist()),
-        ))
-    return CoverProblem(grid=grid, rows=tuple(rows))
+        bases += base.ravel().tolist()
+        cells += map(tuple, covered.tolist())
+    rows = CoverRows(grid.cells, tuple(starts), tuple(bases), tuple(cells))
+    return CoverProblem(grid=grid, rows=rows)
 
 
 def _combination_of(n: int, parts: Sequence[int], cap: int) -> bool:
@@ -221,9 +298,7 @@ def _prefilter(grid: GridModel, cap: int) -> str | None:
 
 def cover_matrix_text(problem: CoverProblem) -> str:
     """Sparse text form of the cover matrix: per line, row id then cell ids."""
-    lines = [
-        f"{rid} {' '.join(str(c) for c in row.cells)}" for rid, row in enumerate(problem.rows)
-    ]
+    lines = [" ".join(map(str, (rid, *cells))) for rid, cells in enumerate(problem.rows.cells)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -246,7 +321,7 @@ def solve_exact_cover(
     The problem has at least one column, as every `build_grid` model does.
     """
     n = problem.n_columns
-    Y = [row.cells for row in problem.rows]
+    Y = problem.rows.cells
     X: list[set[int]] = [set() for _ in range(n)]
     for rid, cells in enumerate(Y):
         for c in cells:
@@ -330,16 +405,17 @@ def rows_to_tiling(
     box: BoxSpec, bricks: Sequence[Brick], problem: CoverProblem, row_ids: Sequence[int]
 ) -> Tiling:
     """Map selected cover rows back to exact rational placements."""
-    rows = [problem.rows[rid] for rid in row_ids]
+    rows = problem.rows
+    kinds = [bisect_right(rows.starts, rid) - 1 for rid in row_ids]
+    offsets = [rows._offset(rows.bases[rid]) for rid in row_ids]
     axes = []
     for ax, unit in enumerate(problem.grid.unit):
         # Merged as ints, so each distinct offset becomes one Fraction.
-        column = [row.offset[ax] for row in rows]
+        column = [offset[ax] for offset in offsets]
         cells = sorted(set(column))
         at = {c: k for k, c in enumerate(cells)}
         axes.append(([c * unit for c in cells], [at[c] for c in column]))
-    placements = Placements([row.brick for row in rows], axes)
-    return Tiling(bricks=tuple(bricks), placements=placements, box=box)
+    return Tiling(bricks=tuple(bricks), placements=Placements(kinds, axes), box=box)
 
 
 def exact_cover_tileable(

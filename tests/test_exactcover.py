@@ -15,6 +15,7 @@ from brickbox import (
     Brick,
     GridModel,
     GridTooLarge,
+    Placement,
     build_cover_problem,
     build_grid,
     cover_matrix_text,
@@ -24,6 +25,7 @@ from brickbox import (
     solve_exact_cover,
     verify_tiling_geometric,
 )
+from brickbox import exactcover
 from references import rational_gcd
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,56 @@ def test_solver_pins_the_costliest_search_instances():
     for box, bricks, budget, status, nodes in cases:
         out = exact_cover_tileable(BoxSpec(box), [Brick(b) for b in bricks], node_budget=budget)
         assert (out.status, out.nodes, out.pruned_by) == (status, nodes, None)
+
+
+def test_tileable_runs_the_traced_stages_and_builds_no_cover_rows(monkeypatch):
+    # The bench's traced run spans the two stages by their module
+    # attributes, so the tileable path must call them through those names;
+    # and the rows travel as columns, so no CoverRow is built on it.
+    calls = Counter()
+    build, solve = exactcover.build_cover_problem, exactcover.solve_exact_cover
+
+    def spy_build(grid):
+        calls["build"] += 1
+        problem = build(grid)
+        calls["rows"] += len(problem.rows)
+        return problem
+
+    def spy_solve(problem, *args, **kwargs):
+        calls["solve"] += 1
+        return solve(problem, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CoverRow was built")
+
+    monkeypatch.setattr(exactcover, "build_cover_problem", spy_build)
+    monkeypatch.setattr(exactcover, "solve_exact_cover", spy_solve)
+    monkeypatch.setattr(exactcover, "CoverRow", refuse)
+    out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((1, 4)), Brick((4, 1)), Brick((3, 3))])
+    assert out.status == "sat" and verify_tiling_geometric(out.tiling).ok
+    assert calls == {"build": 1, "rows": 29, "solve": 1}
+
+
+def test_hand_built_rows_land_in_the_same_columns():
+    from brickbox.exactcover import CoverProblem, CoverRow
+
+    # the middle brick type is too tall for the box, so it has no rows
+    box, bricks = BoxSpec((3, 2)), [Brick((2, 1)), Brick((1, 3)), Brick((1, 2))]
+    grid = build_grid(box, bricks)
+    problem = build_cover_problem(grid)
+    rows = problem.rows
+    assert (rows.starts, rows.bases, rows.strides) == ((0, 4, 4), (0, 1, 2, 3, 0, 2, 4), (2, 1))
+    assert rows[5] == rows[-2] == CoverRow(brick=2, offset=(1, 0), cells=(2, 3))
+    assert rows[3:5] == tuple(rows)[3:5]
+    by_hand = CoverProblem(grid, rows=tuple(rows))
+    assert by_hand == problem
+    assert (by_hand.rows.bases, by_hand.rows.cells) == (rows.bases, rows.cells)
+    tiling = rows_to_tiling(box, bricks, by_hand, (4, 5, 6))
+    assert list(tiling.placements) == [Placement(2, (F(x), F(0))) for x in range(3)]
+    with pytest.raises(ValueError, match="grouped by brick type"):
+        CoverProblem(grid, rows=tuple(reversed(rows)))
+    with pytest.raises(ValueError, match="outside the grid"):
+        CoverProblem(grid, rows=(CoverRow(brick=0, offset=(0, 2), cells=(0,)),))
 
 
 def test_rows_to_tiling_preserves_exactness():

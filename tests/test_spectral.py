@@ -726,6 +726,24 @@ def test_residual_memory_does_not_grow_with_the_tiling(build, tiles):
         assert 0.1 < report.max_abs_residual < math.inf
 
 
+def test_gathered_blocks_count_in_the_chunk_budget():
+    # 500 unit squares on the diagonal: a lattice of 250 000 centers, so all
+    # 500 placements are gathered, in blocks as long as the exceptions, next
+    # to tables of 2 x 512 rows. Leaving the two blocks out of the chunk
+    # budget doubles the chunk and the peak (about 2 MB against 1 MB).
+    t = _diagonal(500, 2)
+    points = random_frequencies(2, 1000, seed=0)
+    spectral.phase_terms(t)  # builds the tiling's integer frame outside the trace
+    tracemalloc.start()
+    try:
+        residual_sample(t, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = spectral._BLOCK_ENTRIES * np.dtype(complex).itemsize
+    assert peak < 1.25 * budget, (peak, budget)
+
+
 # ---------------------------------------------------------------------------
 # random_frequencies
 # ---------------------------------------------------------------------------
