@@ -25,14 +25,18 @@ cell ids as a tuple. Its `rows` reads them as `CoverRow` values, each one
 built only when it is read; the solver, `rows_to_tiling` and
 `cover_matrix_text` read the columns.
 
-The search is Knuth's Algorithm X over one set of live row ids per column
-plus the header ring of Dancing Links (Knuth, arXiv cs/0011047): the
-uncovered columns form a doubly linked ring in id order. Selecting a row
-unlinks each of its columns from the ring and removes that column's rows
-from their other columns' sets; deselecting undoes both in reverse. A
-covered column's own set is never touched while it is covered (its rows
-leave only other columns' sets), so it still holds exactly the rows to
-put back when the column is uncovered, and nothing is copied or saved.
+The search is Knuth's Algorithm X with the header ring of Dancing Links
+(Knuth, arXiv cs/0011047): the uncovered columns form a doubly linked ring
+in id order. Each column keeps a fixed list of its row ids in increasing
+order, and the search keeps one live flag per row, one live-row count per
+column and one log of killed rows. Selecting a row unlinks each of its
+columns from the ring and kills every still-live row in those columns'
+lists exactly once: it clears the row's flag, logs it and decrements the
+count of each of the row's columns. Each search frame keeps the log's
+length when it was made; backtracking revives the rows logged since then
+and relinks the columns in reverse. The column lists are never changed,
+and a covered column's count is not read until the column is uncovered,
+by which time its rows are live again.
 The search always branches on the column with the fewest candidate rows,
 found by walking the ring from its root and taking the first minimum (the
 lowest cell id); an empty column ends the walk at once, since nothing can
@@ -42,8 +46,9 @@ search is iterative, counts every row trial as a node, and reports hitting
 the node budget as a distinct "timeout" outcome carrying the number of
 trials made; a budget hit is never converted into UNSAT.
 
-A solver run owns its mutable matrix and must stay on one thread; inputs
-and outcomes are immutable values, and independent runs do not interfere.
+A solver run owns its mutable search state and must stay on one thread;
+inputs and outcomes are immutable values, and independent runs do not
+interfere.
 """
 
 from __future__ import annotations
@@ -142,8 +147,8 @@ class CoverRows(Sequence):
 
 
 def _columns(shape: Sequence[int], rows: tuple[CoverRow, ...]) -> CoverRows:
-    # The columns of hand-built rows, which must run grouped by brick type
-    # and have their offsets in the grid.
+    # The columns of hand-built rows, which must run grouped by brick type,
+    # have their offsets in the grid and cover distinct cells of the grid.
     bricks = [row.brick for row in rows]
     if bricks != sorted(bricks) or bricks and bricks[0] < 0:
         raise ValueError("cover rows must run grouped by brick type, in increasing type")
@@ -151,9 +156,15 @@ def _columns(shape: Sequence[int], rows: tuple[CoverRow, ...]) -> CoverRows:
     strides = _strides(shape)
     bases = tuple(sum(map(mul, row.offset, strides)) for row in rows)
     view = CoverRows(shape, starts, bases, tuple(tuple(row.cells) for row in rows))
+    n = math.prod(shape)
     for rid, row in enumerate(rows):
         if view._offset(bases[rid]) != tuple(row.offset):
             raise ValueError(f"cover row {rid} has offset {row.offset} outside the grid")
+        for c in row.cells:
+            if not 0 <= c < n:
+                raise ValueError(f"cover row {rid} has cell {c} outside the grid")
+        if len(set(row.cells)) != len(row.cells):
+            raise ValueError(f"cover row {rid} covers a cell twice")
     return view
 
 
@@ -319,13 +330,18 @@ def solve_exact_cover(
     `node_budget` row trials (any solutions already found are included).
     With limit=1 the first solution is returned as soon as it is found.
     The problem has at least one column, as every `build_grid` model does.
+    The column row lists stay fixed; a search moves only the column ring,
+    each row's live flag, each column's live-row count and the kill log.
     """
     n = problem.n_columns
     Y = problem.rows.cells
-    X: list[set[int]] = [set() for _ in range(n)]
+    X: list[list[int]] = [[] for _ in range(n)]
     for rid, cells in enumerate(Y):
         for c in cells:
-            X[c].add(rid)
+            X[c].append(rid)
+    size = list(map(len, X))
+    live = [True] * len(Y)
+    killed: list[int] = []
     # Uncovered columns as a ring in id order: L/R hold each column's
     # neighbours, and index n is the root.
     L = list(range(-1, n))
@@ -338,42 +354,42 @@ def solve_exact_cover(
             left, right = L[j], R[j]
             R[left], L[right] = right, left
             for i in X[j]:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].remove(i)
+                if live[i]:
+                    live[i] = False
+                    killed.append(i)
+                    for k in Y[i]:
+                        size[k] -= 1
 
-    def deselect(rid: int) -> None:
-        for j in reversed(Y[rid]):
-            for i in X[j]:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].add(i)
-            R[L[j]] = L[R[j]] = j
-
-    def candidates() -> list[int]:
-        # Fewest candidates first, lowest column id on ties; an empty
-        # column ends the walk, since no row can cover it.
+    def frame() -> list:
+        # The live rows of the column with the fewest (lowest id on ties; an
+        # empty one ends the walk), the next index to try, the log's mark.
         best, fewest = n, len(Y) + 1
         c = R[n]
         while c != n:
-            size = len(X[c])
-            if size < fewest:
-                if not size:
-                    return []
-                best, fewest = c, size
+            if size[c] < fewest:
+                best, fewest = c, size[c]
+                if not fewest:
+                    break
             c = R[c]
-        return sorted(X[best])
+        return [[i for i in X[best] if live[i]], 0, len(killed)]
 
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     hit_budget = False
-    frames: list[list] = [[candidates(), 0]]
+    frames: list[list] = [frame()]
     sel_rows: list[int] = []
 
     while frames:
-        cands, idx = frames[-1]
+        cands, idx, mark = frames[-1]
         if len(sel_rows) == len(frames):
-            deselect(sel_rows.pop())
+            # Backtrack: revive the rows killed since the mark, then relink.
+            for i in killed[mark:]:
+                live[i] = True
+                for k in Y[i]:
+                    size[k] += 1
+            del killed[mark:]
+            for j in reversed(Y[sel_rows.pop()]):
+                R[L[j]] = L[R[j]] = j
         if idx >= len(cands):
             frames.pop()
             continue
@@ -390,14 +406,9 @@ def solve_exact_cover(
             if limit is not None and len(solutions) >= limit:
                 break
             continue
-        frames.append([candidates(), 0])
+        frames.append(frame())
 
-    if hit_budget:
-        status = TIMEOUT
-    elif solutions:
-        status = SAT
-    else:
-        status = UNSAT
+    status = TIMEOUT if hit_budget else SAT if solutions else UNSAT
     return CoverOutcome(status, tuple(solutions), nodes)
 
 

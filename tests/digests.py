@@ -15,6 +15,12 @@ Classes:
   `tests/test_geometry.py`, and on random instances of 2 to 4 bricks in
   d = 1 to 3. It hashes the status, nodes, `pruned_by`, the tiling's JSON
   text and `cover_matrix_text` of the instance's full cover problem.
+* decide: `decide_two_brick` on planted instances of every outcome in
+  d = 1 to 4: a proper cut, a single brick, a pairwise-integrality
+  obstruction (d >= 2, as it needs two axes) and an exhausted split search
+  with L/a log-uniform up to 10**4. It hashes the `decision_to_obj` JSON
+  and, for a tileable instance, the JSON text of its certificate's tiling
+  (at most 768 placements).
 
 Rewrite the file after a deliberate output change with
 
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -34,10 +41,12 @@ from brickbox import (
     Brick,
     build_cover_problem,
     build_grid,
+    certificate_to_tiling,
     cover_matrix_text,
+    decide_two_brick,
     exact_cover_tileable,
 )
-from brickbox.serialization import format_rational, tiling_to_json
+from brickbox.serialization import decision_to_obj, format_rational, tiling_to_json
 from test_geometry import _oracle_case, _three_type_oracle_case
 
 PATH = Path(__file__).with_name("digests.json")
@@ -45,6 +54,11 @@ PATH = Path(__file__).with_name("digests.json")
 ORACLE_SEED = 20261021
 SEARCH_NODE_BUDGET = 10_000
 RANDOM_NODE_BUDGET = 2_000
+
+DECIDE_SEED = 20261029
+DECIDE_KINDS = ("proper cut", "single brick", "obstruction", "exhausted")
+DECIDE_CASES_PER_KIND = 16
+DECIDE_MAX_RATIO = 10**4
 
 # The `search` catalogue of bench/corpus.py, copied so that a change to the
 # benchmark does not move this digest: n x n boxes by {p x q, q x p}, then
@@ -114,7 +128,83 @@ def oracle_hash(box: BoxSpec, bricks: list, budget: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-CLASSES = {"oracle": (oracle_cases, oracle_hash)}
+def _coprime_pair(rng: random.Random, lo: int, hi: int) -> tuple[int, int]:
+    while True:
+        A, B = rng.randint(lo, hi), rng.randint(lo, hi)
+        if A != B and math.gcd(A, B) == 1:
+            return A, B
+
+
+def _decide_instance(rng: random.Random, kind: str, d: int):
+    # Box extents are seeded rational units times small counts. Off the
+    # planted axis both bricks divide the box (4 or fewer per axis), so a
+    # tiling has at most 4**3 placements per layer of the planted axis.
+    box = [F(rng.randint(1, 9), rng.randint(1, 7)) * rng.randint(1, 4) for _ in range(d)]
+    a = [L / rng.randint(1, 4) for L in box]
+    b = [L / rng.randint(1, 4) for L in box]
+    k = rng.randrange(d)
+    u = box[k] / rng.randint(1, 4)
+    if kind == "proper cut":
+        # m*A + n*B with 0 < m < B and 0 < n < A: neither brick divides it
+        A, B = _coprime_pair(rng, 2, 7)
+        m, n = rng.randint(1, B - 1), rng.randint(1, A - 1)
+        box[k], a[k], b[k] = (m * A + n * B) * u, A * u, B * u
+    elif kind == "single brick":
+        # one brick divides the box, the other is any brick that fits
+        other = [L * F(rng.randint(1, 5), 5) for L in box]
+        a, b = (a, other) if rng.random() < 0.5 else (other, a)
+    elif kind == "obstruction":
+        # L_i/a_i and L_j/b_j both non-integral on two distinct axes
+        i, j = rng.sample(range(d), 2)
+        q = rng.randint(2, 7)
+        a[i] = box[i] * q / (q * rng.randint(1, 5) + rng.randint(1, q - 1))
+        b[j] = box[j] * q / (q * rng.randint(1, 5) + rng.randint(1, q - 1))
+    else:
+        # a gap of m*A + n*B on axis k: Sylvester's A*B - A - B, or a count
+        # that the common factor g of A and B does not divide
+        ratio = 2 * (DECIDE_MAX_RATIO / 2) ** rng.random()
+        if rng.random() < 0.5:
+            A = rng.randint(2, 5)
+            B = max(A + 1, round((ratio + 1) * A / (A - 1)))
+            while math.gcd(A, B) != 1:
+                B += 1
+            K = A * B - A - B
+        else:
+            g = rng.choice((2, 3, 5))
+            A1, B1 = _coprime_pair(rng, 1, 4)
+            A, B = g * A1, g * B1
+            K = max(1, round(ratio * A))
+            if K % g == 0:
+                K += 1
+        box[k], a[k], b[k] = K * u, A * u, B * u
+    return BoxSpec(box), Brick(a), Brick(b)
+
+
+def decide_cases():
+    """(label, box, brick a, brick b) for every case of the decide class."""
+    rng = random.Random(DECIDE_SEED)
+    for d in range(1, 5):
+        for kind in DECIDE_KINDS:
+            if kind == "obstruction" and d == 1:
+                continue
+            for k in range(DECIDE_CASES_PER_KIND):
+                yield f"{kind} d{d} {k}", *_decide_instance(rng, kind, d)
+
+
+def decide_hash(box: BoxSpec, a: Brick, b: Brick) -> str:
+    out = decide_two_brick(box, a, b)
+    tiling = ""
+    if out.tileable:
+        tiling = "".join(tiling_to_json(certificate_to_tiling(out.certificate, box, a, b)))
+    text = "\n".join([
+        f"box {_dims(box.dims)} bricks {_dims(a.dims)} {_dims(b.dims)}",
+        json.dumps(decision_to_obj(out), indent=2),
+        tiling,
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+CLASSES = {"oracle": (oracle_cases, oracle_hash), "decide": (decide_cases, decide_hash)}
 
 
 def case_hashes(name: str) -> dict[str, str]:

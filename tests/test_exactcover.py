@@ -298,6 +298,23 @@ def test_hand_built_rows_land_in_the_same_columns():
         CoverProblem(grid, rows=(CoverRow(brick=0, offset=(0, 2), cells=(0,)),))
 
 
+def test_hand_built_rows_cover_distinct_cells_of_the_grid():
+    from brickbox.exactcover import CoverProblem, CoverRow
+
+    grid = GridModel((F(1),), (2,), ((1,),))
+    ok = CoverRow(0, (1,), (1,))
+    # a cell id past the grid, or a negative one, which would wrap round
+    # onto the column ring, is refused before any search
+    for cell in (2, 5, -1):
+        with pytest.raises(ValueError, match=f"cover row 1 has cell {cell} outside the grid"):
+            CoverProblem(grid, rows=(ok, CoverRow(0, (1,), (cell,))))
+    # a cell listed twice would be counted twice in its column's size
+    with pytest.raises(ValueError, match="cover row 0 covers a cell twice"):
+        CoverProblem(grid, rows=(CoverRow(0, (0,), (0, 0)), ok))
+    out = solve_exact_cover(CoverProblem(grid, rows=(CoverRow(0, (0,), (0,)), ok)), limit=None)
+    assert (out.status, out.solutions, out.nodes) == ("sat", ((0, 1),), 2)
+
+
 def test_rows_to_tiling_preserves_exactness():
     box = BoxSpec((1, 1))
     bricks = [Brick((F(1, 2), F(1, 2)))]
@@ -565,6 +582,26 @@ def test_stencil_rows_and_solver_match_references_on_seeded_corpus():
             tuple(rng.randint(1, min(c, 3)) for c in cells) for _ in range(rng.randint(2, 3))
         )
         grid = GridModel(unit=(F(1), F(1)), cells=cells, brick_footprints=footprints)
+        out = solve_like_reference(
+            build_cover_problem(grid), None, rng.choice([5_000, 20_000, 100_000])
+        )
+        deep[out.status, out.nodes > 2000] += 1
+    assert deep["sat", True] >= 5 and deep["timeout", True] >= 5, deep
+
+
+def test_solver_matches_the_reference_on_deep_three_dimensional_searches():
+    # every solution of 3-d grids of 2 to 3 cells per axis with 3 or 4
+    # brick types, under budgets up to 10**5: status, solutions and nodes
+    from brickbox.exactcover import GridModel
+
+    rng = random.Random(DIFF_SEED + 2)
+    deep = Counter()
+    for _ in range(120):
+        cells = tuple(rng.randint(2, 3) for _ in range(3))
+        footprints = tuple(
+            tuple(rng.randint(1, 2) for _ in cells) for _ in range(rng.randint(3, 4))
+        )
+        grid = GridModel(unit=(F(1),) * 3, cells=cells, brick_footprints=footprints)
         out = solve_like_reference(
             build_cover_problem(grid), None, rng.choice([5_000, 20_000, 100_000])
         )
