@@ -14,8 +14,7 @@ constructor is the one place that makes this form: every builder hands it
 offsets in any order, repeated or unused, and it sorts and merges them.
 `Tiling` checks bounds once per brick type and axis, and readers work from
 the columns; a `Placement` is built only when a caller reads one. The first
-bad placement is named by a plain scan of the rows, run only when the
-column check fails.
+bad placement is named from the columns too, only when that check fails.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
@@ -41,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,21 +338,23 @@ def _fits(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> bool:
     return True
 
 
-def _first_error(rows: Iterable[Placement], bricks: tuple[Brick, ...], box: BoxSpec) -> str:
-    # The error of the first placement, in order, with the wrong number of
-    # coordinates, an unknown brick type or an offset outside
-    # 0 <= o <= L - c (on the first such axis). Called only once a column
-    # check has failed, so some placement is bad.
-    d = box.dim
-    rooms = [[length - c for length, c in zip(box.dims, b.dims)] for b in bricks]
-    for k, p in enumerate(rows):
-        if len(p.offset) != d:
-            return f"placement {k} has {len(p.offset)} coordinates, box has {d}"
-        if p.brick_index >= len(bricks):
-            return f"placement {k} references unknown brick type {p.brick_index}"
-        for ax, (o, room) in enumerate(zip(p.offset, rooms[p.brick_index])):
-            if not 0 <= o <= room:
-                return f"placement {k} extends outside the box on axis {ax}"
+def _first_error(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> str:
+    # The error of the first placement of a view, in order, with an unknown
+    # brick type or an offset outside 0 <= o <= L - c (on the first such
+    # axis); called only once `_fits` has failed. Per axis, two bisections
+    # of the sorted distinct offsets bound each type's indices in range, and
+    # one mask (a row for unknown types, then one per axis) names the error.
+    kinds = np.minimum(view.kinds, len(bricks))  # unknown types share a last slot
+    mask = [kinds == len(bricks)]
+    for ax, (values, index) in enumerate(view.axes):
+        high = [bisect_right(values, box.dims[ax] - b.dims[ax]) for b in bricks] + [len(values)]
+        mask.append((index < bisect_left(values, 0)) | (index >= np.array(high)[kinds]))
+    mask = np.array(mask)
+    k = int(mask.any(axis=0).argmax())
+    ax = int(mask[:, k].argmax()) - 1
+    if ax < 0:
+        return f"placement {k} references unknown brick type {view.kinds[k]}"
+    return f"placement {k} extends outside the box on axis {ax}"
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,7 @@ class Tiling:
     their bricks, boxes and placement sequences are. The integer frame
     that the verifier, the spectral sampler and the SVG writer read is
     built once, on first use, and takes no part in equality, hash, repr
-    or pickling.
+    or pickling; nor does the spectral sampler's plan, kept beside it.
     """
 
     bricks: tuple[Brick, ...]
@@ -390,12 +392,20 @@ class Tiling:
                 raise ValueError(f"brick {k} has dimension {b.dim}, box has {d}")
         view = placements
         if isinstance(placements, tuple):
-            malformed = any(len(p.offset) != d or p.brick_index >= len(bricks) for p in placements)
-            view = None if malformed else _placement_columns(placements, d)
-        elif not len(placements):
+            # The rows before the first with a wrong coordinate count or an
+            # unknown brick type, as columns: an error among them comes first.
+            malformed = (len(p.offset) != d or p.brick_index >= len(bricks) for p in placements)
+            good = next((k for k, bad in enumerate(malformed) if bad), len(placements))
+            view = _placement_columns(placements[:good], d)
+        elif not len(placements) or len(placements.axes) != d:
             view = Placements((), [((), ())] * d)
-        if view is None or len(view.axes) != d or (len(view) and not _fits(view, bricks, self.box)):
-            raise ValueError(_first_error(placements, bricks, self.box))
+        if len(view) and not _fits(view, bricks, self.box):
+            raise ValueError(_first_error(view, bricks, self.box))
+        if len(view) < len(placements):
+            k, p = len(view), placements[len(view)]
+            if len(p.offset) != d:
+                raise ValueError(f"placement {k} has {len(p.offset)} coordinates, box has {d}")
+            raise ValueError(f"placement {k} references unknown brick type {p.brick_index}")
         object.__setattr__(self, "bricks", bricks)
         object.__setattr__(self, "placements", view)
 
@@ -407,8 +417,9 @@ class Tiling:
         return _integer_frame(self)
 
     def __getstate__(self) -> dict:
-        # A pickle holds the fields alone; the frame is built again on use.
-        return {k: v for k, v in self.__dict__.items() if k != "_frame"}
+        # A pickle holds the fields alone; the frame, and what readers keep
+        # beside it under other private names, are built again on use.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)

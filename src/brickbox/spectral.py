@@ -23,9 +23,9 @@ Conventions used throughout:
 
 Floats (double precision) are used only to evaluate transforms and
 sampled residuals; residual checks use 1e-9. Zero-set membership is an
-exact integrality test on rational frequencies, so the key-observation
-witness is checked in exact rational arithmetic and holds for extents of
-any size.
+exact integrality test on rational frequencies, one integer remainder of
+numerators by denominators with no Fraction built, so the key-observation
+witness is checked exactly and holds for extents of any size.
 
 `residual_sample` reads each brick type's distinct centers off the
 tiling's per-axis integer frame (see `geometry`), as exact ints n in units
@@ -94,8 +94,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,15 +153,20 @@ class KeyObservationWitness:
 def in_zero_set_Z(xi: Sequence, box: BoxSpec) -> bool:
     """Membership in the zero set of the box transform.
 
-    True iff some coordinate xi_j is a nonzero integer multiple of 1/L_j.
-    The test is exact, so coordinates must be rationals; a float reached
-    in the scan raises TypeError.
+    True iff some coordinate xi_j is a nonzero integer multiple of 1/L_j,
+    one integer remainder each. The test is exact, so coordinates must be
+    rationals; a float reached in the scan raises TypeError.
     """
     if len(xi) != box.dim:
         raise ValueError("frequency and box have different dimensions")
-    for x, length in zip(xi, box.dims):
-        y = frac(x) * length
-        if y != 0 and y.denominator == 1:
+    return _hits_zero_set(map(frac, xi), box.dims, repeat(1))
+
+
+def _hits_zero_set(xi: Iterable[Fraction], extents: Iterable, scales: Iterable) -> bool:
+    # Some x * c/s is a nonzero integer, c/s being x's axis's extent over its scale.
+    for x, c, s in zip(xi, extents, scales):
+        p = x.numerator * c.numerator * s.denominator
+        if p and p % (x.denominator * c.denominator * s.numerator) == 0:
             return True
     return False
 
@@ -354,11 +359,16 @@ def _phase_sum(
     return total
 
 
-def _centers(t: Tiling) -> Iterator[tuple[int, list[list[int]], list[np.ndarray]]]:
+def _types(t: Tiling) -> list[tuple[int, list[list[int]], list[int], tuple]]:
     # Per brick type with placements: its index, its sorted distinct center
-    # numerators per axis, and its placements' rows among them per axis.
+    # numerators per axis, their counts (its shape) and its `_summation`.
+    # Built once per tiling, on first use by `phase_terms` or
+    # `residual_sample`, and kept on it as its frame is.
+    if "_spectral_types" in t.__dict__:
+        return t.__dict__["_spectral_types"]
     _, box, _, ends = t._frame
     kinds = t.placements.kinds
+    types = []
     for k in np.flatnonzero(np.bincount(kinds)).tolist():
         mine = kinds == k
         nums, where = [], []
@@ -371,7 +381,10 @@ def _centers(t: Tiling) -> Iterator[tuple[int, list[list[int]], list[np.ndarray]
             last = bisect_left(pairs, (k + 1) * len(values), first)
             nums.append([lo + hi - length for lo, hi in zip(lows[first:last], highs[first:last])])
             where.append(rank[mine] - first)
-        yield k, nums, where
+        shape = list(map(len, nums))
+        types.append((k, nums, shape, _summation(where, shape)))
+    t.__dict__["_spectral_types"] = types
+    return types
 
 
 def phase_terms(t: Tiling) -> int:
@@ -380,13 +393,10 @@ def phase_terms(t: Tiling) -> int:
     Per brick type: one per row of its per-axis phase tables, a row per
     distinct center on each axis, and one per factor it gathers, one per
     axis and exception (see the module docstring). Raises GridTooLarge as
-    `residual_sample` does.
+    `residual_sample` does. The per-type plan it reads is built once per
+    tiling and kept for `residual_sample`.
     """
-    total = 0
-    for _, nums, where in _centers(t):
-        shape = list(map(len, nums))
-        total += sum(shape) + len(shape) * len(_summation(where, shape)[1][0])
-    return total
+    return sum(sum(shape) + len(shape) * len(rows[0]) for _, _, shape, (_, rows, _) in _types(t))
 
 
 # Overflow shows as a non-finite residual, which raises, not as a warning.
@@ -411,11 +421,12 @@ def residual_sample(
     blocks, of the lattice points that differ from that base (see the
     module docstring), so working memory does not grow with points times
     placements. The tiling's integer frame is built once per tiling, on
-    first use, and shared with the verifier and the SVG writer. Raises
-    GridTooLarge when the tiling's offsets are too fine for that frame, as
-    `verify_tiling_geometric` does, and ValueError when a sample point or a
-    residual is not finite (frequencies too large for the box overflow its
-    transforms), so no report ever holds NaN.
+    first use, and shared with the verifier and the SVG writer; so is its
+    per-type plan (centers and summation), shared with `phase_terms`.
+    Raises GridTooLarge when the tiling's offsets are too fine for that
+    frame, as `verify_tiling_geometric` does, and ValueError when a sample
+    point or a residual is not finite (frequencies too large for the box
+    overflow its transforms), so no report ever holds NaN.
     """
     if len(points) == 0:
         raise ValueError("need at least one sample point")
@@ -432,12 +443,11 @@ def residual_sample(
         raise ValueError("box volume above double range")
     scale, box, bricks, _ = t._frame
     types, needs = [], [[] for _ in box]
-    for k, nums, where in _centers(t):
+    for k, nums, shape, summation in _types(t):
         plans = list(map(_table_plan, nums))
         for need, (ints, _) in zip(needs, plans):
             need += ints
-        shape = list(map(len, nums))
-        types.append((k, plans, shape, _summation(where, shape)))
+        types.append((k, plans, shape, summation))
     extents = [
         list(dict.fromkeys([length, *(bricks[k][ax] for k, *_ in types)]))
         for ax, length in enumerate(box)
@@ -493,25 +503,20 @@ def key_observation_witness(
     unit-box normalization (brick extents divided by box extents) the point
     has xi_i = L_i/a_i, xi_j = L_j/b_j and zeros elsewhere: both normalized
     brick transforms vanish there, yet the point misses the zero set of the
-    unit box, where the right-hand side is nonzero. All three zero-set
-    tests are exact, so no float is evaluated and no extent is too large.
+    unit box, where the right-hand side is nonzero. The three zero-set tests
+    are `in_zero_set_Z`'s integer remainders on the extents' parts, so no
+    normalized box is built, no float evaluated and no extent is too large.
     """
     d = box.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise ValueError("need two distinct axes")
     if a.dim != d or b.dim != d:
         raise ValueError("brick and box dimensions differ")
-    ratio_a = box.dims[i] / a.dims[i]
-    ratio_b = box.dims[j] / b.dims[j]
+    ratio_a, ratio_b = box.dims[i] / a.dims[i], box.dims[j] / b.dims[j]
     if ratio_a.denominator == 1 or ratio_b.denominator == 1:
         raise ValueError("pair is not a violation: one of the ratios is an integer")
-    point = [Fraction(0)] * d
-    point[i] = ratio_a
-    point[j] = ratio_b
-    point_t = tuple(point)
-    norm_a = BoxSpec(tuple(a.dims[ax] / box.dims[ax] for ax in range(d)))
-    norm_b = BoxSpec(tuple(b.dims[ax] / box.dims[ax] for ax in range(d)))
-    member = in_zero_set_Z(point_t, BoxSpec((1,) * d))
-    if member or not in_zero_set_Z(point_t, norm_a) or not in_zero_set_Z(point_t, norm_b):
+    point = tuple(ratio_a if ax == i else ratio_b if ax == j else Fraction(0) for ax in range(d))
+    vanish = [_hits_zero_set(point, brick.dims, box.dims) for brick in (a, b)]
+    if _hits_zero_set(point, repeat(1), repeat(1)) or not all(vanish):
         raise RuntimeError("witness consistency check failed for a genuine violation")
-    return KeyObservationWitness(pair=(i, j), point=point_t)
+    return KeyObservationWitness(pair=(i, j), point=point)

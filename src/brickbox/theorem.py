@@ -14,6 +14,8 @@ The necessary condition checked first ("key observation"): for every
 ordered pair of distinct axes i != j, at least one of L_i/a_i and L_j/b_j
 must be an integer. A violating pair yields a frequency-domain witness
 point where both brick transforms vanish but the box transform does not.
+Each test of L/c for integrality is the remainder of L.numerator *
+c.denominator by L.denominator * c.numerator: no Fraction is divided.
 """
 
 from __future__ import annotations
@@ -88,13 +90,15 @@ def _require_same_dim(box: BoxSpec, *bricks: Brick) -> None:
             raise ValueError("box and brick dimensions differ")
 
 
+def _divides(ext: Fraction, length: Fraction) -> bool:
+    # length/ext is an integer, as one remainder of products of their parts.
+    return length.numerator * ext.denominator % (length.denominator * ext.numerator) == 0
+
+
 def _bad_axes(box: BoxSpec, brick: Brick) -> list[int]:
     # Axes i, in increasing order, on which L_i/c_i is not an integer.
     _require_same_dim(box, brick)
-    return [
-        i for i, (length, ext) in enumerate(zip(box.dims, brick.dims))
-        if (length / ext).denominator != 1
-    ]
+    return [i for i, (L, c) in enumerate(zip(box.dims, brick.dims)) if not _divides(c, L)]
 
 
 def one_brick_tileable(box: BoxSpec, brick: Brick) -> bool:
@@ -139,22 +143,21 @@ def find_split(box: BoxSpec, a: Brick, b: Brick) -> SplitCertificate | None:
     axis, so each fails to divide it on exactly that axis and no other. On
     that axis the pair with smallest m is taken.
     """
-    bad_a, bad_b = _bad_axes(box, a), _bad_axes(box, b)
+    return _split(box, a, b, _bad_axes(box, a), _bad_axes(box, b))
+
+
+def _split(box: BoxSpec, a: Brick, b: Brick, bad_a: list, bad_b: list) -> SplitCertificate | None:
+    # `find_split` given each brick's non-dividing axes.
     if not bad_a:
-        m = int(box.dims[0] / a.dims[0])
-        return SplitCertificate(axis=0, m=m, n=0, cut=box.dims[0])
+        return SplitCertificate(axis=0, m=box.dims[0] // a.dims[0], n=0, cut=box.dims[0])
     if not bad_b:
-        n = int(box.dims[0] / b.dims[0])
-        return SplitCertificate(axis=0, m=0, n=n, cut=Fraction(0))
+        return SplitCertificate(axis=0, m=0, n=box.dims[0] // b.dims[0], cut=Fraction(0))
     # A cut on axis k needs both bricks to divide every other axis.
     if len(bad_a) != 1 or bad_a != bad_b:
         return None
     (k,) = bad_a
     pair = solve_axis_combination(box.dims[k], a.dims[k], b.dims[k])
-    if pair is None:
-        return None
-    m, n = pair
-    return SplitCertificate(axis=k, m=m, n=n, cut=m * a.dims[k])
+    return SplitCertificate(k, *pair, cut=pair[0] * a.dims[k]) if pair else None
 
 
 def decide_two_brick(box: BoxSpec, a: Brick, b: Brick) -> DecisionOutcome:
@@ -165,15 +168,12 @@ def decide_two_brick(box: BoxSpec, a: Brick, b: Brick) -> DecisionOutcome:
     violated pairwise-integrality condition when one exists, and no evidence
     when the split search is exhausted.
     """
-    cert = find_split(box, a, b)
+    bad_a, bad_b = _bad_axes(box, a), _bad_axes(box, b)
+    cert = _split(box, a, b, bad_a, bad_b)
     if cert is not None:
         return DecisionOutcome(certificate=cert)
-    violation = key_observation_holds(box, a, b)
-    if violation is not None:
-        return DecisionOutcome(
-            witness=key_observation_witness(box, a, b, violation.i, violation.j)
-        )
-    return DecisionOutcome()
+    pair = next(((i, j) for i in bad_a for j in bad_b if i != j), None)
+    return DecisionOutcome(witness=key_observation_witness(box, a, b, *pair) if pair else None)
 
 
 def validate_certificate(
@@ -194,7 +194,7 @@ def validate_certificate(
     # First failing cross axis; on the same axis brick a is reported first.
     for i, length in enumerate(box.dims):
         for name, brick, layers in (("a", a, cert.m), ("b", b, cert.n)):
-            if i != axis and layers and (length / brick.dims[i]).denominator != 1:
+            if i != axis and layers and not _divides(brick.dims[i], length):
                 raise ValueError(f"brick {name} does not divide the box on cross axis {i}")
 
 
@@ -213,7 +213,7 @@ def _slab_placements(
     grids = []
     for k, (brick, layers) in enumerate(slabs):
         if layers:
-            counts = [int(length / ext) for length, ext in zip(box.dims, brick.dims)]
+            counts = [length // ext for length, ext in zip(box.dims, brick.dims)]
             counts[axis] = layers
             grids.append((k, brick, counts))
     total = sum(math.prod(counts) for _, _, counts in grids)

@@ -21,6 +21,11 @@ Classes:
   with L/a log-uniform up to 10**4. It hashes the `decision_to_obj` JSON
   and, for a tileable instance, the JSON text of its certificate's tiling
   (at most 768 placements).
+* split report: `brickbox counterexample --R R` for R = 4 to 8, run through
+  `cli.main` into a fresh directory. It hashes the exit code, the printed
+  summary and the bytes of the four written files (`instance.json`,
+  `tiling.json`, `tiling.svg` and `nosplit.json`, the last being the
+  `nosplit_report_to_obj` JSON).
 
 Rewrite the file after a deliberate output change with
 
@@ -29,10 +34,13 @@ Rewrite the file after a deliberate output change with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -46,6 +54,7 @@ from brickbox import (
     decide_two_brick,
     exact_cover_tileable,
 )
+from brickbox.cli import main as cli_main
 from brickbox.serialization import decision_to_obj, format_rational, tiling_to_json
 from test_geometry import _oracle_case, _three_type_oracle_case
 
@@ -71,6 +80,9 @@ BAR_SQUARES = (
     (5, 1, 2), (7, 1, 2), (9, 1, 4), (10, 2, 3), (14, 3, 4), (13, 1, 4), (7, 2, 3), (11, 1, 3),
 )
 PINWHEEL_R = range(4, 9)
+
+SPLIT_REPORT_R = range(4, 9)
+SPLIT_REPORT_FILES = ("instance.json", "tiling.json", "tiling.svg", "nosplit.json")
 
 
 def _search_catalogue():
@@ -204,7 +216,26 @@ def decide_hash(box: BoxSpec, a: Brick, b: Brick) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-CLASSES = {"oracle": (oracle_cases, oracle_hash), "decide": (decide_cases, decide_hash)}
+def split_report_cases():
+    """(label, R) for every case of the split report class."""
+    for R in SPLIT_REPORT_R:
+        yield f"R {R}", R
+
+
+def split_report_hash(R: int) -> str:
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, contextlib.redirect_stdout(stdout):
+        code = cli_main(["counterexample", "--R", str(R), "--output-dir", outdir])
+        files = [f"{name}\n{(Path(outdir) / name).read_text()}" for name in SPLIT_REPORT_FILES]
+    text = "\n".join([f"exit {code}", stdout.getvalue(), *files])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+CLASSES = {
+    "oracle": (oracle_cases, oracle_hash),
+    "decide": (decide_cases, decide_hash),
+    "split report": (split_report_cases, split_report_hash),
+}
 
 
 def case_hashes(name: str) -> dict[str, str]:

@@ -644,13 +644,79 @@ def test_tiling_errors_match_fraction_reference():
 def test_out_of_box_placement_is_reported_before_a_later_malformed_one():
     box, bricks = BoxSpec((1, 1)), (Brick((F(1, 2), 1)),)
     outside, fine = Placement(0, (F(3, 4), 0)), Placement(0, (0, 0))
-    for malformed in (Placement(1, (0, 0)), Placement(0, (0, 0, 0)), Placement(0, (0,))):
+    # A brick index past any column dtype is named, not converted.
+    for malformed in (
+        Placement(1, (0, 0)), Placement(0, (0, 0, 0)), Placement(0, (0,)), Placement(10**30, (0, 0))
+    ):
         for placements in ((fine, outside, malformed), (fine, malformed, outside)):
             expected = fraction_tiling_error(bricks, placements, box)
             assert _tiling_error(bricks, placements, box) == expected
         assert expected.startswith("placement 1 ")
     with pytest.raises(ValueError, match="placement 1 extends outside the box on axis 0"):
         Tiling(bricks=bricks, placements=(fine, outside, Placement(1, (0, 0))), box=box)
+
+
+VIEW_ERROR_SEED = 20261031
+
+
+def _raw_view(rng, bricks, box):
+    """Rows of one coordinate count (now and then one axis too many or too
+    few) and their view: a seeded share of the offsets lies outside the box,
+    by a little or a lot, and a few rows name an unknown brick type."""
+    d = box.dim
+    width = d if rng.random() < 0.95 else rng.choice((d - 1, d + 1))
+    outside = rng.random() ** 3 / d
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        k = rng.randrange(len(bricks) + (rng.random() < 0.02))
+        offset = []
+        for ax in range(width):
+            top = box.dims[ax % d] - bricks[k % len(bricks)].dims[ax % d]
+            near = rng.choice((-top / 3 - 1, F(-1, 1000), top + F(1, 1000), top + F(1, 5)))
+            offset.append(near if rng.random() < outside else _rational_in(rng, top))
+        rows.append(Placement(k, tuple(offset)))
+    columns = [([p.offset[ax] for p in rows], range(len(rows))) for ax in range(width)]
+    return rows, Placements([p.brick_index for p in rows], columns)
+
+
+def test_view_errors_match_the_row_scan():
+    # A view is checked, and a failing one named, on its columns alone; the
+    # message is the first error of the row scan, in its precedence.
+    rng = random.Random(VIEW_ERROR_SEED)
+    messages = Counter()
+    for case in range(1500):
+        d = rng.randint(1, 3)
+        box = BoxSpec([F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)])
+        bricks = tuple(
+            Brick([_rational_in(rng, L) or L for L in box.dims]) for _ in range(rng.randint(1, 3))
+        )
+        rows, view = _raw_view(rng, bricks, box)
+        got = _tiling_error(bricks, view, box)
+        assert got == fraction_tiling_error(bricks, rows, box), case
+        messages[got and " ".join(got.split()[0:3:2])] += 1
+    kinds = {None, "placement has", "placement references", "placement extends"}
+    assert set(messages) == kinds, messages
+    assert min(messages.values()) >= 50, messages
+
+
+def test_a_bad_view_is_named_without_building_a_row(monkeypatch):
+    # The last placement of a 200 x 200 certificate tiling moved out of the
+    # box: the error comes from the columns, with no Placement built.
+    box, small, large = BoxSpec((200, 200)), Brick((1, 1)), Brick((2, 2))
+    t = certificate_to_tiling(decide_two_brick(box, small, large).certificate, box, small, large)
+    kinds, axes = t.placements.kinds, t.placements.axes
+    (values, index), other = axes
+    moved = index.copy()
+    moved[-1] = len(values)
+    view = Placements(kinds, [((*values, F(200)), moved), other])
+
+    def no_rows(*args):
+        raise AssertionError("a Placement was built")
+
+    monkeypatch.setattr(Placement, "_unchecked", no_rows)
+    last = len(kinds) - 1
+    with pytest.raises(ValueError, match=f"^placement {last} extends outside the box on axis 0$"):
+        Tiling(bricks=t.bricks, placements=view, box=box)
 
 
 def _pair_in_line(bits):

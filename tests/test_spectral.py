@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+import pickle
 import random
 import struct
 import tracemalloc
@@ -744,6 +745,29 @@ def test_gathered_blocks_count_in_the_chunk_budget():
     assert peak < 1.25 * budget, (peak, budget)
 
 
+def test_phase_terms_and_the_sampler_share_one_plan(monkeypatch):
+    # `spectral` counts the terms, then samples: each brick type's centers
+    # and summation are planned once per tiling, and a pickle leaves the
+    # plan out, so an unpickled tiling plans again and samples the same.
+    planned = []
+
+    def counted(where, shape, run=spectral._summation):
+        planned.append(shape)
+        return run(where, shape)
+
+    monkeypatch.setattr(spectral, "_summation", counted)
+    t = pinwheel_tiling(make_instance(5))
+    points = random_frequencies(2, 50, seed=0)
+    terms = spectral.phase_terms(t)
+    report = residual_sample(t, points)
+    assert len(planned) == len(t.bricks) == 3
+    assert spectral.phase_terms(t) == terms and residual_sample(t, points) == report
+    assert len(planned) == 3
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and not any(name.startswith("_") for name in vars(again))
+    assert residual_sample(again, points) == report and len(planned) == 6
+
+
 # ---------------------------------------------------------------------------
 # random_frequencies
 # ---------------------------------------------------------------------------
@@ -821,6 +845,27 @@ def test_zero_set_scales_with_box():
     assert in_zero_set_Z((F(1, 2), F(1, 10)), box) is True  # (1/2) * 2 = 1
     assert in_zero_set_Z((F(1, 3), F(1, 10)), box) is False
     assert in_zero_set_Z((F(1, 20), F(3)), box) is True  # 3 * (1/3) = 1
+
+
+def test_zero_set_remainders_match_fraction_products():
+    # Signed coordinates near multiples of 1/L_j, with extents up to
+    # 10**400 and down to 10**-400, ints and "p/q" strings among them: the
+    # remainder test agrees with x * L_j computed as a Fraction.
+    rng = random.Random(20261031)
+    scales = (1, F(1, 7), F(10**9 + 7, 3), 10**400, F(1, 10**400))
+    answers = set()
+    for _ in range(2000):
+        d = rng.randint(1, 4)
+        box = BoxSpec(tuple(
+            rng.choice(scales) * F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(d)
+        ))
+        xi = [F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) / L for L in box.dims]
+        want = any(x * L != 0 and (x * L).denominator == 1 for x, L in zip(xi, box.dims))
+        given = [rng.choice((x, f"{x.numerator}/{x.denominator}")) for x in xi]
+        given = [int(x) if isinstance(x, F) and x.denominator == 1 else x for x in given]
+        assert in_zero_set_Z(given, box) is want, (xi, box)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
