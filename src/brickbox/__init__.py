@@ -21,8 +21,6 @@ from .exactcover import (
     DEFAULT_NODE_BUDGET,
     CoverOutcome,
     CoverProblem,
-    CoverRow,
-    CoverRows,
     GridModel,
     GridTooLarge,
     TileOutcome,

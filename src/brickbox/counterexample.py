@@ -144,7 +144,11 @@ def proper_split_report(
     grid = build_grid(box, bricks, cap=grid_cap)
 
     @cache
-    def side_tileable(dims: tuple[Fraction, ...], subset: tuple[int, ...]) -> bool:
+    def side_tileable(axis: int, cells: int, subset: tuple[int, ...]) -> bool:
+        # The box cut to `cells` grid units on `axis`, keyed on ints: built
+        # only on a miss, since hashing its Fraction extents would dominate.
+        dims = list(box.dims)
+        dims[axis] = cells * grid.unit[axis]
         side = BoxSpec(dims)
         if len(subset) == 1:
             return one_brick_tileable(side, bricks[subset[0]])
@@ -153,16 +157,9 @@ def proper_split_report(
 
     entries: list[SplitEntry] = []
     for axis in range(box.dim):
-        unit = grid.unit[axis]
-        for k in range(1, grid.cells[axis]):
-            alpha = k * unit
-            left = tuple(
-                alpha if ax == axis else box.dims[ax] for ax in range(box.dim)
-            )
-            right = tuple(
-                box.dims[ax] - alpha if ax == axis else box.dims[ax]
-                for ax in range(box.dim)
-            )
+        n = grid.cells[axis]
+        for k in range(1, n):
+            alpha = k * grid.unit[axis]
             for s, t in pairs:
                 entries.append(
                     SplitEntry(
@@ -170,8 +167,8 @@ def proper_split_report(
                         alpha=alpha,
                         left_subset=s,
                         right_subset=t,
-                        left_sat=side_tileable(left, s),
-                        right_sat=side_tileable(right, t),
+                        left_sat=side_tileable(axis, k, s),
+                        right_sat=side_tileable(axis, n - k, t),
                     )
                 )
     return NoSplitReport(box=box, bricks=bricks, entries=tuple(entries))

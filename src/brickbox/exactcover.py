@@ -19,11 +19,10 @@ gcd test alone, so the check stays bounded):
 
 The rows come from one numpy stencil per brick type: the footprint's cell
 ids broadcast over the base cell of every in-bounds offset. A cover problem
-holds them as columns, the way `Placements` holds a tiling: the row id
-where each brick type's rows start, each row's base cell id and each row's
-cell ids as a tuple. Its `rows` reads them as `CoverRow` values, each one
-built only when it is read; the solver, `rows_to_tiling` and
-`cover_matrix_text` read the columns.
+is its grid and a tuple of rows, each row the tuple of its cell ids. The
+rows run by brick type, then by offset in row-major order, so a row id
+alone names its placement: `rows_to_tiling` reads the brick type and the
+offset back from the grid.
 
 The search is Knuth's Algorithm X with the header ring of Dancing Links
 (Knuth, arXiv cs/0011047): the uncovered columns form a doubly linked ring
@@ -54,11 +53,11 @@ interfere.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,98 +89,41 @@ class GridModel:
         return math.prod(self.cells)
 
 
-@dataclass(frozen=True)
-class CoverRow:
-    """One candidate placement: brick type, grid offset, covered cell ids."""
-
-    brick: int
-    offset: tuple[int, ...]
-    cells: tuple[int, ...]
-
-
-def _strides(shape: Sequence[int]) -> tuple[int, ...]:
-    return tuple(math.prod(shape[ax + 1 :]) for ax in range(len(shape)))
-
-
-class CoverRows(Sequence):
-    """A cover problem's rows as columns, read as `CoverRow` values.
-
-    Rows run grouped by brick type in increasing type: `starts[k]` is the
-    first row id of type k. `bases[r]` is the row-major cell id of row r's
-    offset on a grid of `shape` cells (the sum of the offset times
-    `strides`), and `cells[r]` the cell ids it covers. Reading a row builds
-    its `CoverRow`; nothing else does.
-    """
-
-    __slots__ = ("starts", "bases", "cells", "strides")
-
-    def __init__(self, shape: Sequence[int], starts: tuple, bases: tuple, cells: tuple) -> None:
-        self.starts, self.bases, self.cells = starts, bases, cells
-        self.strides = _strides(shape)
-
-    def _offset(self, base: int) -> tuple[int, ...]:
-        offset = []
-        for stride in self.strides:
-            o, base = divmod(base, stride)
-            offset.append(o)
-        return tuple(offset)
-
-    def _row(self, rid: int) -> CoverRow:
-        brick = bisect_right(self.starts, rid) - 1
-        return CoverRow(brick, self._offset(self.bases[rid]), self.cells[rid])
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __getitem__(self, index):
-        at = range(len(self.cells))[index]
-        return tuple(map(self._row, at)) if isinstance(at, range) else self._row(at)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
-
-def _columns(shape: Sequence[int], rows: tuple[CoverRow, ...]) -> CoverRows:
-    # The columns of hand-built rows, which must run grouped by brick type,
-    # have their offsets in the grid and cover distinct cells of the grid.
-    bricks = [row.brick for row in rows]
-    if bricks != sorted(bricks) or bricks and bricks[0] < 0:
-        raise ValueError("cover rows must run grouped by brick type, in increasing type")
-    starts = tuple(bisect_left(bricks, k) for k in range(bricks[-1] + 1 if bricks else 0))
-    strides = _strides(shape)
-    bases = tuple(sum(map(mul, row.offset, strides)) for row in rows)
-    view = CoverRows(shape, starts, bases, tuple(tuple(row.cells) for row in rows))
-    n = math.prod(shape)
-    for rid, row in enumerate(rows):
-        if view._offset(bases[rid]) != tuple(row.offset):
-            raise ValueError(f"cover row {rid} has offset {row.offset} outside the grid")
-        for c in row.cells:
-            if not 0 <= c < n:
-                raise ValueError(f"cover row {rid} has cell {c} outside the grid")
-        if len(set(row.cells)) != len(row.cells):
-            raise ValueError(f"cover row {rid} covers a cell twice")
-    return view
+def _spans(grid: GridModel) -> list[list[int]]:
+    # Per brick type, its number of in-bounds offsets on each axis; a type
+    # with a span below 1 does not fit the grid and has no rows.
+    return [[c - f + 1 for c, f in zip(grid.cells, fp)] for fp in grid.brick_footprints]
 
 
 @dataclass(frozen=True)
 class CoverProblem:
     """Exact-cover instance: one column per grid cell, one row per placement.
 
-    `rows` may be given as any sequence of `CoverRow`s; it is held as a
-    `CoverRows` view of columns.
+    `rows` holds each row's cell ids. Hand-built rows are checked to cover
+    distinct cells of the grid; `build_cover_problem`'s are not.
     """
 
     grid: GridModel
-    rows: CoverRows
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rows, CoverRows):
-            object.__setattr__(self, "rows", _columns(self.grid.cells, tuple(self.rows)))
+        rows = tuple(map(tuple, self.rows))
+        n = self.grid.cell_count
+        for rid, cells in enumerate(rows):
+            for c in cells:
+                if not 0 <= c < n:
+                    raise ValueError(f"cover row {rid} has cell {c} outside the grid")
+            if len(set(cells)) != len(cells):
+                raise ValueError(f"cover row {rid} covers a cell twice")
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _unchecked(cls, grid: GridModel, rows: tuple[tuple[int, ...], ...]) -> CoverProblem:
+        # Rows built from the grid itself: set directly, without the checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     @property
     def n_columns(self) -> int:
@@ -253,21 +195,15 @@ def build_cover_problem(grid: GridModel) -> CoverProblem:
     no rows.
     """
     ids = np.arange(grid.cell_count, dtype=np.int64).reshape(grid.cells)
-    starts: list[int] = []
-    bases: list[int] = []
-    cells: list[tuple[int, ...]] = []
-    for footprint in grid.brick_footprints:
-        starts.append(len(cells))
-        spans = [c - f + 1 for c, f in zip(grid.cells, footprint)]
+    rows: list[tuple[int, ...]] = []
+    for spans, footprint in zip(_spans(grid), grid.brick_footprints):
         if min(spans) < 1:
             continue
         # Row-major ids are linear: the cell at offset + rel has id(offset) + id(rel).
         base = ids[tuple(map(slice, spans))].reshape(-1, 1)
         covered = base + ids[tuple(map(slice, footprint))].reshape(1, -1)
-        bases += base.ravel().tolist()
-        cells += map(tuple, covered.tolist())
-    rows = CoverRows(grid.cells, tuple(starts), tuple(bases), tuple(cells))
-    return CoverProblem(grid=grid, rows=rows)
+        rows += map(tuple, covered.tolist())
+    return CoverProblem._unchecked(grid, tuple(rows))
 
 
 def _combination_of(n: int, parts: Sequence[int], cap: int) -> bool:
@@ -309,7 +245,7 @@ def _prefilter(grid: GridModel, cap: int) -> str | None:
 
 def cover_matrix_text(problem: CoverProblem) -> str:
     """Sparse text form of the cover matrix: per line, row id then cell ids."""
-    lines = [" ".join(map(str, (rid, *cells))) for rid, cells in enumerate(problem.rows.cells)]
+    lines = [" ".join(map(str, (rid, *cells))) for rid, cells in enumerate(problem.rows)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -334,7 +270,7 @@ def solve_exact_cover(
     each row's live flag, each column's live-row count and the kill log.
     """
     n = problem.n_columns
-    Y = problem.rows.cells
+    Y = problem.rows
     X: list[list[int]] = [[] for _ in range(n)]
     for rid, cells in enumerate(Y):
         for c in cells:
@@ -415,10 +351,23 @@ def solve_exact_cover(
 def rows_to_tiling(
     box: BoxSpec, bricks: Sequence[Brick], problem: CoverProblem, row_ids: Sequence[int]
 ) -> Tiling:
-    """Map selected cover rows back to exact rational placements."""
-    rows = problem.rows
-    kinds = [bisect_right(rows.starts, rid) - 1 for rid in row_ids]
-    offsets = [rows._offset(rows.bases[rid]) for rid in row_ids]
+    """Map selected cover rows back to exact rational placements.
+
+    Row ids are read in `build_cover_problem`'s order: brick type k has one
+    row per in-bounds offset, in row-major order, after those of types
+    below k.
+    """
+    spans = _spans(problem.grid)
+    first = list(accumulate((math.prod(s) if min(s) >= 1 else 0 for s in spans), initial=0))
+    kinds, offsets = [], []
+    for rid in row_ids:
+        k = bisect_right(first, rid) - 1
+        rest, offset = rid - first[k], []
+        for span in reversed(spans[k]):
+            rest, o = divmod(rest, span)
+            offset.append(o)
+        kinds.append(k)
+        offsets.append(offset[::-1])
     axes = []
     for ax, unit in enumerate(problem.grid.unit):
         # Merged as ints, so each distinct offset becomes one Fraction.

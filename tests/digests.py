@@ -26,6 +26,12 @@ Classes:
   summary and the bytes of the four written files (`instance.json`,
   `tiling.json`, `tiling.svg` and `nosplit.json`, the last being the
   `nosplit_report_to_obj` JSON).
+* verify: `verify_tiling_geometric` on the tilings of `_certificate_case`,
+  `_oracle_case`, `_pinwheel_case` and `_lifted_case` in
+  `tests/test_geometry.py`, each followed by its three mutants from
+  `_mutant_cases` (one placement dropped, duplicated or shifted). It hashes
+  the tiling's JSON text, the `verify_outcome_to_obj` JSON and, for a 2-d
+  tiling, the `tiling_to_svg` bytes.
 
 Rewrite the file after a deliberate output change with
 
@@ -53,10 +59,24 @@ from brickbox import (
     cover_matrix_text,
     decide_two_brick,
     exact_cover_tileable,
+    tiling_to_svg,
+    verify_tiling_geometric,
 )
 from brickbox.cli import main as cli_main
-from brickbox.serialization import decision_to_obj, format_rational, tiling_to_json
-from test_geometry import _oracle_case, _three_type_oracle_case
+from brickbox.serialization import (
+    decision_to_obj,
+    format_rational,
+    tiling_to_json,
+    verify_outcome_to_obj,
+)
+from test_geometry import (
+    _certificate_case,
+    _lifted_case,
+    _mutant_cases,
+    _oracle_case,
+    _pinwheel_case,
+    _three_type_oracle_case,
+)
 
 PATH = Path(__file__).with_name("digests.json")
 
@@ -83,6 +103,10 @@ PINWHEEL_R = range(4, 9)
 
 SPLIT_REPORT_R = range(4, 9)
 SPLIT_REPORT_FILES = ("instance.json", "tiling.json", "tiling.svg", "nosplit.json")
+
+VERIFY_SEED = 20261032
+VERIFY_BUILDERS = (_certificate_case, _oracle_case, _pinwheel_case, _lifted_case)
+VERIFY_CASES_PER_BUILDER = 40
 
 
 def _search_catalogue():
@@ -231,10 +255,34 @@ def split_report_hash(R: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def verify_cases():
+    """(label, tiling) for every case of the verify class."""
+    rng = random.Random(VERIFY_SEED)
+    for k in range(VERIFY_CASES_PER_BUILDER):
+        for build in VERIFY_BUILDERS:
+            t, ref = build(rng)
+            name = build.__name__.lstrip("_")
+            yield f"{name} {k}", t
+            for j, (u, _) in enumerate(_mutant_cases(rng, t, ref)):
+                yield f"{name} {k} mutant {j}", u
+
+
+def verify_hash(t) -> str:
+    out = verify_tiling_geometric(t)
+    svg = tiling_to_svg(t) if t.box.dim == 2 else ""
+    text = "\n".join([
+        "".join(tiling_to_json(t)),
+        json.dumps(verify_outcome_to_obj(out)),
+        svg,
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 CLASSES = {
     "oracle": (oracle_cases, oracle_hash),
     "decide": (decide_cases, decide_hash),
     "split report": (split_report_cases, split_report_hash),
+    "verify": (verify_cases, verify_hash),
 }
 
 

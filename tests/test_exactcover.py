@@ -117,21 +117,18 @@ def test_solver_two_vertical_dominoes():
 
 def test_solver_classic_matrix():
     # Known instance with a unique cover {rows 0, 3, 4}.
-    from brickbox.exactcover import CoverProblem, CoverRow, GridModel
+    from brickbox.exactcover import CoverProblem, GridModel
 
-    rows = [
+    rows = (
         (2, 4, 5),
         (0, 3, 6),
         (1, 2, 5),
         (0, 3),
         (1, 6),
         (3, 4, 6),
-    ]
-    grid = GridModel(unit=(F(1),), cells=(7,), brick_footprints=((1,),))
-    problem = CoverProblem(
-        grid=grid,
-        rows=tuple(CoverRow(brick=0, offset=(i,), cells=cells) for i, cells in enumerate(rows)),
     )
+    grid = GridModel(unit=(F(1),), cells=(7,), brick_footprints=((1,),))
+    problem = CoverProblem(grid=grid, rows=rows)
     out = solve_exact_cover(problem)
     assert out.status == "sat"
     assert sorted(out.solutions[0]) == [0, 3, 4]
@@ -248,10 +245,10 @@ def test_solver_pins_the_costliest_search_instances():
         assert (out.status, out.nodes, out.pruned_by) == (status, nodes, None)
 
 
-def test_tileable_runs_the_traced_stages_and_builds_no_cover_rows(monkeypatch):
+def test_tileable_runs_the_traced_stages_and_checks_no_built_row(monkeypatch):
     # The bench's traced run spans the two stages by their module
     # attributes, so the tileable path must call them through those names;
-    # and the rows travel as columns, so no CoverRow is built on it.
+    # and the rows it builds from the grid skip the hand-built rows' checks.
     calls = Counter()
     build, solve = exactcover.build_cover_problem, exactcover.solve_exact_cover
 
@@ -266,52 +263,49 @@ def test_tileable_runs_the_traced_stages_and_builds_no_cover_rows(monkeypatch):
         return solve(problem, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a CoverRow was built")
+        raise AssertionError("the built rows were checked")
 
     monkeypatch.setattr(exactcover, "build_cover_problem", spy_build)
     monkeypatch.setattr(exactcover, "solve_exact_cover", spy_solve)
-    monkeypatch.setattr(exactcover, "CoverRow", refuse)
+    monkeypatch.setattr(exactcover.CoverProblem, "__post_init__", refuse)
     out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((1, 4)), Brick((4, 1)), Brick((3, 3))])
     assert out.status == "sat" and verify_tiling_geometric(out.tiling).ok
     assert calls == {"build": 1, "rows": 29, "solve": 1}
 
 
 def test_hand_built_rows_land_in_the_same_columns():
-    from brickbox.exactcover import CoverProblem, CoverRow
+    from brickbox.exactcover import CoverProblem
 
     # the middle brick type is too tall for the box, so it has no rows
     box, bricks = BoxSpec((3, 2)), [Brick((2, 1)), Brick((1, 3)), Brick((1, 2))]
     grid = build_grid(box, bricks)
     problem = build_cover_problem(grid)
-    rows = problem.rows
-    assert (rows.starts, rows.bases, rows.strides) == ((0, 4, 4), (0, 1, 2, 3, 0, 2, 4), (2, 1))
-    assert rows[5] == rows[-2] == CoverRow(brick=2, offset=(1, 0), cells=(2, 3))
-    assert rows[3:5] == tuple(rows)[3:5]
-    by_hand = CoverProblem(grid, rows=tuple(rows))
-    assert by_hand == problem
-    assert (by_hand.rows.bases, by_hand.rows.cells) == (rows.bases, rows.cells)
+    assert problem.rows == ((0, 2), (1, 3), (2, 4), (3, 5), (0, 1), (2, 3), (4, 5))
+    # a row id names its brick type and offset: four rows of type 0, then three of type 2
+    tiling = rows_to_tiling(box, bricks, problem, range(len(problem.rows)))
+    assert [(p.brick_index, p.offset) for p in tiling.placements] == [
+        (0, (0, 0)), (0, (0, 1)), (0, (1, 0)), (0, (1, 1)), (2, (0, 0)), (2, (1, 0)), (2, (2, 0)),
+    ]
+    by_hand = CoverProblem(grid, rows=[list(cells) for cells in problem.rows])
+    assert by_hand == problem and hash(by_hand) == hash(problem)
+    assert by_hand.rows == problem.rows and type(by_hand.rows[0]) is tuple
     tiling = rows_to_tiling(box, bricks, by_hand, (4, 5, 6))
     assert list(tiling.placements) == [Placement(2, (F(x), F(0))) for x in range(3)]
-    with pytest.raises(ValueError, match="grouped by brick type"):
-        CoverProblem(grid, rows=tuple(reversed(rows)))
-    with pytest.raises(ValueError, match="outside the grid"):
-        CoverProblem(grid, rows=(CoverRow(brick=0, offset=(0, 2), cells=(0,)),))
 
 
 def test_hand_built_rows_cover_distinct_cells_of_the_grid():
-    from brickbox.exactcover import CoverProblem, CoverRow
+    from brickbox.exactcover import CoverProblem
 
     grid = GridModel((F(1),), (2,), ((1,),))
-    ok = CoverRow(0, (1,), (1,))
     # a cell id past the grid, or a negative one, which would wrap round
     # onto the column ring, is refused before any search
     for cell in (2, 5, -1):
         with pytest.raises(ValueError, match=f"cover row 1 has cell {cell} outside the grid"):
-            CoverProblem(grid, rows=(ok, CoverRow(0, (1,), (cell,))))
+            CoverProblem(grid, rows=((1,), (cell,)))
     # a cell listed twice would be counted twice in its column's size
     with pytest.raises(ValueError, match="cover row 0 covers a cell twice"):
-        CoverProblem(grid, rows=(CoverRow(0, (0,), (0, 0)), ok))
-    out = solve_exact_cover(CoverProblem(grid, rows=(CoverRow(0, (0,), (0,)), ok)), limit=None)
+        CoverProblem(grid, rows=((0, 0), (1,)))
+    out = solve_exact_cover(CoverProblem(grid, rows=((0,), (1,))), limit=None)
     assert (out.status, out.solutions, out.nodes) == ("sat", ((0, 1),), 2)
 
 
@@ -362,7 +356,7 @@ def naive_all_covers(n_columns, rows):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_solver_matches_naive_enumeration(data):
-    from brickbox.exactcover import CoverProblem, CoverRow, GridModel
+    from brickbox.exactcover import CoverProblem, GridModel
 
     n_columns = data.draw(st.integers(min_value=1, max_value=6))
     n_rows = data.draw(st.integers(min_value=0, max_value=8))
@@ -373,10 +367,7 @@ def test_solver_matches_naive_enumeration(data):
         for _ in range(n_rows)
     ]
     grid = GridModel(unit=(F(1),), cells=(n_columns,), brick_footprints=((1,),))
-    problem = CoverProblem(
-        grid=grid,
-        rows=tuple(CoverRow(brick=0, offset=(i,), cells=cells) for i, cells in enumerate(rows)),
-    )
+    problem = CoverProblem(grid=grid, rows=tuple(rows))
     out = solve_exact_cover(problem)
     expected = naive_all_covers(n_columns, rows)
     assert out.status == ("sat" if expected else "unsat")
@@ -429,11 +420,10 @@ DIFF_SEED = 41
 
 
 def reference_build_cover_problem(grid):
-    """Rows by nested loops over offsets and footprint cells."""
-    from brickbox.exactcover import CoverProblem, CoverRow
-
+    """Rows by nested loops over offsets and footprint cells: the rows' cell
+    ids, and each row's (brick type, offset)."""
     strides = [math.prod(grid.cells[ax + 1:]) for ax in range(len(grid.cells))]
-    rows = []
+    rows, placements = [], []
     for brick_idx, footprint in enumerate(grid.brick_footprints):
         spans = [grid.cells[ax] - footprint[ax] for ax in range(len(grid.cells))]
         if any(s < 0 for s in spans):
@@ -443,8 +433,9 @@ def reference_build_cover_problem(grid):
                 sum((offset[ax] + rel[ax]) * strides[ax] for ax in range(len(offset)))
                 for rel in product(*(range(f) for f in footprint))
             )
-            rows.append(CoverRow(brick=brick_idx, offset=offset, cells=covered))
-    return CoverProblem(grid=grid, rows=tuple(rows))
+            rows.append(covered)
+            placements.append((brick_idx, offset))
+    return tuple(rows), placements
 
 
 def _select(X: dict, Y: dict, rid: int) -> list:
@@ -477,9 +468,9 @@ def reference_solve_exact_cover(problem, limit=None, node_budget=10**7):
 
     X = {c: set() for c in range(problem.n_columns)}
     Y = {}
-    for rid, row in enumerate(problem.rows):
-        Y[rid] = row.cells
-        for c in row.cells:
+    for rid, cells in enumerate(problem.rows):
+        Y[rid] = cells
+        for c in cells:
             X[c].add(rid)
     if not X:
         return CoverOutcome("sat", ((),), 0)
@@ -534,16 +525,12 @@ def random_grid(rng):
 
 
 def random_matrix(rng):
-    from brickbox.exactcover import CoverProblem, CoverRow, GridModel
+    from brickbox.exactcover import CoverProblem, GridModel
 
     n_columns = rng.randint(1, 12)
     rows = tuple(
-        CoverRow(
-            brick=0,
-            offset=(i,),
-            cells=tuple(sorted(rng.sample(range(n_columns), rng.randint(1, min(4, n_columns))))),
-        )
-        for i in range(rng.randint(0, 30))
+        tuple(sorted(rng.sample(range(n_columns), rng.randint(1, min(4, n_columns)))))
+        for _ in range(rng.randint(0, 30))
     )
     grid = GridModel(unit=(F(1),), cells=(n_columns,), brick_footprints=((1,),))
     return CoverProblem(grid=grid, rows=rows)
@@ -567,7 +554,12 @@ def test_stencil_rows_and_solver_match_references_on_seeded_corpus():
         if rng.random() < 0.6:
             grid = random_grid(rng)
             problem = build_cover_problem(grid)
-            assert problem.rows == reference_build_cover_problem(grid).rows
+            rows, placements = reference_build_cover_problem(grid)
+            assert problem.rows == rows
+            # every row id maps back to the brick type and offset it was built from
+            bricks = [Brick(f) for f in grid.brick_footprints]
+            tiling = rows_to_tiling(BoxSpec(grid.cells), bricks, problem, range(len(rows)))
+            assert [(p.brick_index, p.offset) for p in tiling.placements] == placements
         else:
             problem = random_matrix(rng)
         out = solve_like_reference(problem, rng.choice([1, None]), rng.choice([1, 2, 7, 100, 2000]))

@@ -572,7 +572,9 @@ def test_verify_matches_pairwise_oracle_on_seeded_corpus():
 # Differential corpus: the integer frame against the Fraction reference
 # ---------------------------------------------------------------------------
 
-FRAME_SEED = 20261018
+# Seeds the verify and frame-ends corpora; the tiling-error corpus takes
+# the next seed.
+FRAME_SEED = 20261020
 
 
 def _overlapping_or_gapped(rng):
@@ -875,14 +877,17 @@ def _oracle_case(rng):
         bricks = [Brick([F(rng.randint(1, 2), rng.choice((1, 2))) for _ in range(d)])]
         bricks.append(Brick([c * rng.randint(1, 2) for c in bricks[0].dims]))
         box = BoxSpec([c * rng.randint(1, 4) for c in bricks[1].dims])
-        problem = build_cover_problem(build_grid(box, bricks))
+        grid = build_grid(box, bricks)
+        problem = build_cover_problem(grid)
         solutions = solve_exact_cover(problem, limit=1).solutions
         if solutions:
-            rows = [problem.rows[r] for r in solutions[0]]
-            ref = tuple(
-                Placement(row.brick, tuple(o * u for o, u in zip(row.offset, problem.grid.unit)))
-                for row in rows
-            )
+            # Each row id's placement: by brick type, then offset in row-major order.
+            placements = [
+                Placement(k, tuple(o * u for o, u in zip(offset, grid.unit)))
+                for k, footprint in enumerate(grid.brick_footprints)
+                for offset in product(*(range(c - f + 1) for c, f in zip(grid.cells, footprint)))
+            ]
+            ref = tuple(placements[r] for r in solutions[0])
             return rows_to_tiling(box, bricks, problem, solutions[0]), ref
 
 
@@ -1084,9 +1089,6 @@ def _three_type_oracle_case(rng):
         outcome = exact_cover_tileable(box, bricks, node_budget=20_000)
         if outcome.tiling is not None and len(set(outcome.tiling.placements.kinds.tolist())) == 3:
             return outcome.tiling, tuple(outcome.tiling.placements)
-
-
-FRAME_SEED = 20261020
 
 
 def test_frame_ends_match_fraction_reference_on_seeded_corpus():

@@ -1,4 +1,4 @@
-"""Metamorphic relations of the two-brick decision.
+"""Metamorphic relations of the two-brick decision and of the oracle.
 
 Each relation maps an instance to another whose `decide_two_brick` output
 is known exactly from the first one's. They run on the planted corpus of
@@ -14,6 +14,15 @@ brick, an obstruction and an exhausted split search, d = 1 to 4):
 
 Non-integral ratios are found here with Fraction division, not with the
 decider's integer remainders.
+
+Two more relate `exact_cover_tileable` runs on the corpus of the `oracle`
+digest class (the `search` catalogue, the oracle cases of
+`tests/test_geometry.py` and random instances of 2 to 4 bricks, d = 1 to 3):
+
+* scaling every extent by p/q leaves the grid's cell counts alone, so it
+  keeps the status, `nodes` and `pruned_by`, and the tiling's placements
+  in order, each offset scaled by p/q;
+* permuting the axes keeps the verdict wherever neither run times out.
 """
 
 import random
@@ -22,7 +31,14 @@ from fractions import Fraction as F
 from functools import cache
 from itertools import permutations
 
-from brickbox import BoxSpec, Brick, SplitCertificate, decide_two_brick
+from brickbox import (
+    BoxSpec,
+    Brick,
+    SplitCertificate,
+    decide_two_brick,
+    exact_cover_tileable,
+    verify_tiling_geometric,
+)
 from brickbox.serialization import decision_to_obj, format_rational, parse_rational
 
 import digests
@@ -30,6 +46,7 @@ import digests
 SEED = 20261031
 FACTORS = (3, 7, 1000003, 10**9 + 7, 10**400 + 1)
 CASES = list(digests.decide_cases())
+ORACLE_CASES = list(digests.oracle_cases())
 
 
 @cache
@@ -118,3 +135,58 @@ def test_swapping_the_bricks_keeps_the_verdict():
     for (label, box, a, b), out in zip(CASES, _decisions()):
         new = decide_two_brick(box, b, a)
         assert (new.tileable, new.reason) == (out.tileable, out.reason), label
+
+
+@cache
+def _oracle_outcomes():
+    # Each oracle corpus case's outcome, taken once for both relations.
+    return [exact_cover_tileable(box, bricks, node_budget=n) for _, box, bricks, n in ORACLE_CASES]
+
+
+def test_scaling_every_extent_scales_the_oracle_tiling():
+    rng = random.Random(SEED + 2)
+    seen = Counter()
+    for (label, box, bricks, budget), out in zip(ORACLE_CASES, _oracle_outcomes()):
+        s = F(rng.choice(FACTORS), rng.choice(FACTORS))
+        new = exact_cover_tileable(
+            BoxSpec([s * v for v in box.dims]),
+            [Brick([s * v for v in b.dims]) for b in bricks],
+            node_budget=budget,
+        )
+        assert (new.status, new.nodes, new.pruned_by) == (out.status, out.nodes, out.pruned_by), (
+            label, s
+        )
+        assert (new.tiling is None) == (out.tiling is None), (label, s)
+        if out.tiling is not None:
+            want = [(p.brick_index, tuple(s * o for o in p.offset)) for p in out.tiling.placements]
+            got = [(p.brick_index, p.offset) for p in new.tiling.placements]
+            assert got == want, (label, s)
+        seen[out.status if out.pruned_by is None else "pruned"] += 1
+    assert min(seen[k] for k in ("sat", "unsat", "pruned")) >= 5 and seen["timeout"], seen
+
+
+def test_permuting_the_axes_keeps_the_oracle_verdict():
+    # One seeded order per corpus case of d > 1, other than the given one.
+    rng = random.Random(SEED + 3)
+    seen = Counter()
+    for (label, box, bricks, budget), out in zip(ORACLE_CASES, _oracle_outcomes()):
+        d = box.dim
+        if d == 1:
+            continue
+        perm = tuple(range(d))
+        while perm == tuple(range(d)):
+            perm = tuple(rng.sample(range(d), d))
+        new = exact_cover_tileable(
+            BoxSpec(_permuted(box.dims, perm)),
+            [Brick(_permuted(b.dims, perm)) for b in bricks],
+            node_budget=budget,
+        )
+        if "timeout" in (out.status, new.status):
+            seen["timeout"] += 1
+            continue
+        assert new.status == out.status, (label, perm)
+        if new.tiling is not None:
+            assert verify_tiling_geometric(new.tiling).ok, (label, perm)
+        seen[out.status, new.nodes == out.nodes] += 1
+    # Both verdicts, each reached with the same and with a different node count.
+    assert min(seen[v, same] for v in ("sat", "unsat") for same in (True, False)) >= 5, seen
