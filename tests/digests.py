@@ -32,6 +32,13 @@ Classes:
   `_mutant_cases` (one placement dropped, duplicated or shifted). It hashes
   the tiling's JSON text, the `verify_outcome_to_obj` JSON and, for a 2-d
   tiling, the `tiling_to_svg` bytes.
+* cli: the CLI smoke inputs of `.github/workflows/tests.yml`, run in order
+  through `cli.main` in one fresh directory, with the input files the
+  workflow writes. It hashes the exit code, stdout and stderr; for
+  `spectral`, whose residual digits depend on the platform, only the exit
+  code (the verdict at its tolerance) and stderr. The 600x600 runs and
+  `counterexample --R 400` are left out for time: they take seconds
+  in-process.
 
 Rewrite the file after a deliberate output change with
 
@@ -45,7 +52,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import shlex
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -59,6 +68,9 @@ from brickbox import (
     cover_matrix_text,
     decide_two_brick,
     exact_cover_tileable,
+    lift_to_dimension,
+    make_instance,
+    pinwheel_tiling,
     tiling_to_svg,
     verify_tiling_geometric,
 )
@@ -278,11 +290,120 @@ def verify_hash(t) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _cli_files() -> dict[str, str]:
+    # The input files the workflow writes with `python -c` before using them.
+    u, v = 10**399 + 1, 10**400 - 3
+    box400 = [f"{11*u}/{v}", f"{6*v}/{u}", str(4 * u), str(10 * v)]
+    sat400 = [[f"{3*u}/{v}", f"{3*v}/{u}", str(2 * u), str(5 * v)],
+              [f"{5*u}/{v}", f"{2*v}/{u}", str(4 * u), str(2 * v)]]
+    obs400 = [[f"{3*u}/{v}", f"{4*v}/{u}", str(2 * u), str(5 * v)],
+              [f"{5*u}/{v}", f"{2*v}/{u}", str(3 * u), str(2 * v)]]
+    half = [{"dims": ["1/2", "1"]}]
+    objs = {
+        "fine.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
+                      "placements": [{"brick": 0, "offset": [f"1/{3**50}", "0"]}]},
+        "diag4.json": {"box": {"dims": ["100"] * 4}, "bricks": [{"dims": ["1"] * 4}],
+                       "placements": [{"brick": 0, "offset": [str(i)] * 4} for i in range(100)]},
+        "sat400.json": {"box": {"dims": box400}, "bricks": [{"dims": d} for d in sat400]},
+        "obs400.json": {"box": {"dims": box400}, "bricks": [{"dims": d} for d in obs400]},
+        "respelled.json": {
+            "box": {"dims": ["1", "1"]}, "bricks": [{"dims": ["1/2", "1/2"]}],
+            "placements": [{"brick": 0, "offset": o} for o in (
+                ["0", "0"], ["2/4", "0/3"], ["0/3", "1/2"], ["1/2", "2/4"])]},
+        "outside.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
+                         "placements": [{"brick": 0, "offset": o} for o in (
+                             ["0", "0"], ["3/4", "0"], ["0", "0", "0"])]},
+        "wide.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
+                      "placements": [{"brick": 0, "offset": [o, "0", "0"]} for o in ("0", "1/2")]},
+        "inst.json": {"box": {"dims": ["1", "1"]},
+                      "bricks": [{"dims": ["1/4", "1/2"]}, {"dims": ["1/2", "1/2"]}]},
+    }
+    files = {name: json.dumps(obj) for name, obj in objs.items()}
+    files["deep.json"] = "[" * 5000 + "]" * 5000
+    lift = lift_to_dimension(pinwheel_tiling(make_instance(4)), 40)
+    files["lift40.json"] = "".join(tiling_to_json(lift))
+    return files
+
+
+CLI_SMOKE = """
+decide --box 1,1 --brick 1/4,1/2 --brick 1/2,1/2
+decide --box 1,1 --brick 2/5,1/2 --brick 1/2,2/5
+decide --box 7,1 --brick 2,1 --brick 4,1
+split --box 1,1 --brick 2/5,1/2 --brick 1/2,2/5
+tile --box 1,1 --brick 2/5,1/2 --brick 1/2,2/5
+tile --box 5,5 --brick 1,4 --brick 4,1 --oracle
+tile --box 10,10 --brick 1,4 --brick 4,1 --oracle
+tile --box 14,14 --brick 1,4 --brick 4,1 --oracle --node-budget 10000
+split --box 1,1 --brick 2/5,1/2 --brick 3/5,1/2
+tile --box 5,5 --brick 1,4 --brick 4,1 --brick 3,3 --output tiling.json
+tile --box 5,5 --brick 1,4 --brick 4,1 --brick 3,3 --emit-matrix m.txt --output t3.json
+tile --box 2,3,5 --brick 1,3,2 --brick 3,1,1 --brick 2,1,1 --brick 1,1,3 --oracle --emit-matrix m3.txt --output t3d.json
+verify --input t3d.json
+verify --input tiling.json
+spectral --input tiling.json --samples 1000 --seed 0 --tolerance 1e-9
+render --input tiling.json --output tiling.svg
+spectral --input tiling.json --samples 1000001
+render --input fine.json
+verify --input deep.json
+spectral --input tiling.json --samples 3 --bound 1.7e308 --tolerance 1e-9
+tile --box 200,200 --brick 1,1 --brick 2,2 --output big.json
+verify --input big.json
+spectral --input big.json --samples 1000 --seed 0 --tolerance 1e-9
+render --input big.json --output big.svg
+spectral --input diag4.json --tolerance 1e-9
+decide --box 1e100000000,1 --brick 1,1 --brick 1,1
+decide --input sat400.json
+split --input sat400.json
+decide --input obs400.json
+split --input obs400.json
+tile --box 3/2,1 --brick 1/2,1/2
+tile --box 4,4 --brick 1,1 --grid-cap 15
+tile --box 4,4 --brick 1,1 --brick 2,2 --grid-cap 15
+counterexample --R 4 --output-dir out
+verify --input lift40.json
+verify --input respelled.json
+verify --input outside.json
+verify --input wide.json
+spectral --input tiling.json --samples -1
+spectral --input tiling.json --samples 0
+spectral --input tiling.json --samples 1000000 --seed 0 --tolerance 1e-9
+decide --input inst.json --box 1,1
+"""
+
+
+def cli_cases():
+    """(label, directory, argv) for every case of the cli class, in run order.
+
+    Later cases read files that earlier ones write, so the cases share one
+    directory and must run in order.
+    """
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, text in _cli_files().items():
+            (Path(workdir) / name).write_text(text)
+        for line in CLI_SMOKE.strip().splitlines():
+            yield line, workdir, shlex.split(line)
+
+
+def cli_hash(workdir: str, argv: list[str]) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    try:
+        os.chdir(workdir)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+    finally:
+        os.chdir(here)
+    out = "" if argv[0] == "spectral" else stdout.getvalue()
+    text = "\n".join([f"exit {code}", out, stderr.getvalue()])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 CLASSES = {
     "oracle": (oracle_cases, oracle_hash),
     "decide": (decide_cases, decide_hash),
     "split report": (split_report_cases, split_report_hash),
     "verify": (verify_cases, verify_hash),
+    "cli": (cli_cases, cli_hash),
 }
 
 
