@@ -45,6 +45,41 @@ search is iterative, counts every row trial as a node, and reports hitting
 the node budget as a distinct "timeout" outcome carrying the number of
 trials made; a budget hit is never converted into UNSAT.
 
+`exact_cover_tileable` runs that search first under a short budget of
+SHORT_SEARCH_BUDGET (200) row trials. On the benchmark's seeds 11, 17 and
+20240917, every instance of the `crosscheck` corpus settles within 148
+trials and every light instance of the `search` corpus within 48, so they
+never go further. An instance the short search leaves open goes to a
+frontier automaton, the transfer-matrix method (Klarner and Pollack,
+"Domino tilings of rectangles with fixed width", Discrete Math. 1980),
+which reads only the `GridModel`:
+
+* one axis is the long one, of N cells; H is the longest footprint along
+  it among the brick types that fit the grid;
+* at a column boundary the state is the occupancy of the next H-1 columns,
+  held as one int with one bit per cell;
+* a state's successors fill its first column, each step putting a brick
+  with its corner at the column's lowest empty cell (in any tiling that
+  cell is a brick's lowest corner). The fillings of a column depend only on
+  the column's own filled cells and on the columns left, so they are kept
+  per such pair and combined with each state's later columns;
+* the grid is tileable iff the empty state comes back after exactly N
+  columns.
+
+Axes are tried by fewest state bits first. The automaton gives up on an
+axis once one column holds more than FRONTIER_CAP (4096) states or makes
+more than FRONTIER_CAP partial fillings. 14x14 {1x4, 4x1} peaks at 2932
+states in a column, so it is refuted. A cap of 50 000 over the whole run
+rather than per column let the automaton spend 61 ms before giving up on
+14x14 {5x1, 3x3, 1x4, 6x6} (tileable), against 9 to 11 ms per column.
+
+A refutation by the automaton is returned as "unsat" with `pruned_by`
+"frontier axis <k>" and the short search's trials as `nodes`. When the
+automaton finds the box tileable or gives up on every axis, the search
+runs again from the start under the caller's budget. So every tiling,
+every tileable instance's node count and every timeout is the search's
+own, and a timeout means the automaton did not refute the box.
+
 A solver run owns its mutable search state and must stay on one thread;
 inputs and outcomes are immutable values, and independent runs do not
 interfere.
@@ -57,7 +92,10 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import accumulate
+from operator import le
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,6 +103,12 @@ from .geometry import BoxSpec, Brick, GridTooLarge, Placements, Tiling, _common_
 
 DEFAULT_GRID_CAP = 10**6
 DEFAULT_NODE_BUDGET = 10**7
+
+#: Row trials of the search that runs before the frontier automaton.
+SHORT_SEARCH_BUDGET = 200
+#: Most states in one column of the frontier automaton, and most partial
+#: column fillings it makes for one column, before it gives up on an axis.
+FRONTIER_CAP = 4096
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -89,6 +133,15 @@ class GridModel:
         return math.prod(self.cells)
 
 
+def _box_cells(cells: Sequence[int], corner: Sequence[int], side: Sequence[int]) -> list[int]:
+    # Row-major ids, in increasing order, of the box of `side` cells at
+    # `corner` in a grid of `cells`.
+    ids = [0]
+    for n, lo, f in zip(cells, corner, side):
+        ids = [i * n + c for i in ids for c in range(lo, lo + f)]
+    return ids
+
+
 def _spans(grid: GridModel) -> list[list[int]]:
     # Per brick type, its number of in-bounds offsets on each axis; a type
     # with a span below 1 does not fit the grid and has no rows.
@@ -100,7 +153,9 @@ class CoverProblem:
     """Exact-cover instance: one column per grid cell, one row per placement.
 
     `rows` holds each row's cell ids. Hand-built rows are checked to cover
-    distinct cells of the grid; `build_cover_problem`'s are not.
+    distinct cells of the grid, and `rows_to_tiling` checks that each row it
+    maps covers the placement its id names; `build_cover_problem`'s rows
+    skip both checks.
     """
 
     grid: GridModel
@@ -117,12 +172,17 @@ class CoverProblem:
                 raise ValueError(f"cover row {rid} covers a cell twice")
         object.__setattr__(self, "rows", rows)
 
+    # Whether the rows are `build_cover_problem`'s, so that a row id names
+    # its placement without a check.
+    _built: ClassVar[bool] = False
+
     @classmethod
     def _unchecked(cls, grid: GridModel, rows: tuple[tuple[int, ...], ...]) -> CoverProblem:
         # Rows built from the grid itself: set directly, without the checks.
         self = object.__new__(cls)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_built", True)
         return self
 
     @property
@@ -143,8 +203,11 @@ class CoverOutcome:
 class TileOutcome:
     """Tileability result: status plus the reconstructed tiling when sat.
 
-    `pruned_by` names the necessary condition that refuted the instance
-    before any search ("slice axis <k>" or "volume"), else None.
+    `pruned_by` names what refuted the instance other than the search: a
+    necessary condition checked before any search ("slice axis <k>" or
+    "volume", with 0 nodes), or the frontier automaton with axis k as its
+    long axis ("frontier axis <k>", with the short search's trials as
+    `nodes`); else None.
     """
 
     status: str
@@ -348,6 +411,127 @@ def solve_exact_cover(
     return CoverOutcome(status, tuple(solutions), nodes)
 
 
+# ---------------------------------------------------------------------------
+# Frontier automaton
+# ---------------------------------------------------------------------------
+
+
+def _column_fillings(
+    col: int, moves: list, cross: Sequence[int], strides: Sequence[int], budget: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """Every way to fill one column whose filled cells are the bits of `col`.
+
+    Returns the distinct sets of cells the placed bricks fill in the next
+    columns, as ints with bit 0 the next column's first cell, and the number
+    of partial fillings made; None in place of the sets once that number
+    passes `budget`. Each step puts a brick of `moves` ((corner limits, cell
+    mask) pairs) with its corner at the column's lowest empty cell x. A
+    partial filling is held shifted so that bit 0 is cell x, and partials
+    at the same x are merged.
+    """
+    width = math.prod(cross)
+    done: set[int] = set()
+    todo: dict[int, set[int]] = {}
+    pending: list[int] = []
+
+    def put(x: int, q: int) -> None:
+        t = min((~q & (q + 1)).bit_length() - 1, width - x)
+        x, q = x + t, q >> t
+        if x == width:
+            done.add(q)
+        elif x in todo:
+            todo[x].add(q)
+        else:
+            todo[x] = {q}
+            heappush(pending, x)
+
+    put(0, col)
+    made = 0
+    while pending:
+        x = heappop(pending)
+        partials = todo.pop(x)
+        made += len(partials)
+        if made > budget:
+            return None, made
+        at = [x // s % c for s, c in zip(strides, cross)]
+        fit = [mask for lim, mask in moves if all(map(le, at, lim))]
+        for q in partials:
+            for mask in fit:
+                if not q & mask:
+                    put(x, q | mask)
+    return tuple(done), made
+
+
+def _frontier_axis(cells: Sequence[int], fits: list, ax: int) -> bool | None:
+    """Whether the grid is tileable, by columns across axis `ax`; None past the cap.
+
+    The state at a column boundary is the occupancy of the next H-1 columns
+    (H the longest fitting footprint on `ax`), one bit per cell, column by
+    column, each in row-major order. A state's successors come from filling
+    its first column (`_column_fillings`, kept per (first column, columns
+    left)). A brick that fills a cell of a later column also fills the cell
+    of each column between on the same line along `ax`, so the bricks put in
+    a column's empty cells never meet the state's later columns, and each
+    filling joins them by a plain or. The grid is tileable iff the empty
+    state comes back after exactly cells[ax] columns. A column gives up once it holds more than
+    FRONTIER_CAP states or makes more than FRONTIER_CAP partial fillings.
+    """
+    cross = cells[:ax] + cells[ax + 1:]
+    width = math.prod(cross)
+    strides = [math.prod(cross[j + 1:]) for j in range(len(cross))]
+    bricks = []
+    for fp in fits:
+        side = fp[:ax] + fp[ax + 1:]
+        layer = sum(1 << i for i in _box_cells(cross, [0] * len(side), side))
+        mask = sum(layer << (k * width) for k in range(fp[ax]))
+        bricks.append((fp[ax], tuple(c - n for c, n in zip(cross, side)), mask))
+    depth = max((h for h, _, _ in bricks), default=1)
+    column = (1 << width) - 1
+    fillings: dict[tuple[int, int], tuple[int, ...]] = {}
+    frontier = {0}
+    for i in range(cells[ax]):
+        left = min(cells[ax] - i, depth)
+        moves = [(lim, mask) for h, lim, mask in bricks if h <= left]
+        after: set[int] = set()
+        made = 0
+        for state in frontier:
+            key = (state & column, left)
+            ahead = fillings.get(key)
+            if ahead is None:
+                ahead, used = _column_fillings(key[0], moves, cross, strides, FRONTIER_CAP - made)
+                if ahead is None:
+                    return None
+                fillings[key] = ahead
+                made += used
+            rest = state >> width
+            after.update(rest | a for a in ahead)
+            if len(after) > FRONTIER_CAP:
+                return None
+        if not after:
+            return False
+        frontier = after
+    return 0 in frontier
+
+
+def _frontier_tileable(grid: GridModel) -> tuple[bool, int] | None:
+    """(tileable, long axis) from the first axis whose automaton decides, or None.
+
+    Axes are tried by fewest state bits first (cross-section cells times
+    the longest fitting footprint on the axis less one), then in order.
+    """
+    fits = [fp for fp in grid.brick_footprints if all(map(le, fp, grid.cells))]
+
+    def state_bits(ax: int) -> int:
+        depth = max((fp[ax] for fp in fits), default=1)
+        return grid.cell_count // grid.cells[ax] * (depth - 1)
+
+    for ax in sorted(range(len(grid.cells)), key=state_bits):
+        tileable = _frontier_axis(grid.cells, fits, ax)
+        if tileable is not None:
+            return tileable, ax
+    return None
+
+
 def rows_to_tiling(
     box: BoxSpec, bricks: Sequence[Brick], problem: CoverProblem, row_ids: Sequence[int]
 ) -> Tiling:
@@ -355,10 +539,17 @@ def rows_to_tiling(
 
     Row ids are read in `build_cover_problem`'s order: brick type k has one
     row per in-bounds offset, in row-major order, after those of types
-    below k.
+    below k. A hand-built row that does not cover the placement its id
+    names raises ValueError.
     """
-    spans = _spans(problem.grid)
+    grid = problem.grid
+    spans = _spans(grid)
     first = list(accumulate((math.prod(s) if min(s) >= 1 else 0 for s in spans), initial=0))
+    if not problem._built:
+        row_ids = list(row_ids)
+        for rid in row_ids:
+            if not 0 <= rid < first[-1]:
+                raise ValueError(f"cover row {rid} names no placement")
     kinds, offsets = [], []
     for rid in row_ids:
         k = bisect_right(first, rid) - 1
@@ -368,6 +559,10 @@ def rows_to_tiling(
             offset.append(o)
         kinds.append(k)
         offsets.append(offset[::-1])
+    if not problem._built:
+        for rid, k, offset in zip(row_ids, kinds, offsets):
+            if sorted(problem.rows[rid]) != _box_cells(grid.cells, offset, grid.brick_footprints[k]):
+                raise ValueError(f"cover row {rid} does not cover brick {k} at offset {tuple(offset)}")
     axes = []
     for ax, unit in enumerate(problem.grid.unit):
         # Merged as ints, so each distinct offset becomes one Fraction.
@@ -387,10 +582,12 @@ def exact_cover_tileable(
     """Decide tileability by translates of the given brick types.
 
     Returns a tiling (which passes geometric verification) when satisfiable,
-    "unsat" when a prefilter (named in `pruned_by`, with 0 nodes) or the
-    exhaustive search rules a tiling out, and "timeout" when the node budget
-    was exhausted first. Raises GridTooLarge when no prefilter refutes an
-    instance that does not fit the grid cap.
+    "unsat" when a prefilter (named in `pruned_by`, with 0 nodes), the
+    frontier automaton (named in `pruned_by`, with the short search's
+    trials as nodes) or the exhaustive search rules a tiling out, and
+    "timeout" when the node budget was exhausted first and the automaton
+    did not refute the box. Raises GridTooLarge when no prefilter refutes
+    an instance that does not fit the grid cap.
     """
     grid = build_grid(box, bricks, cap=math.inf)
     pruned_by = _prefilter(grid, grid_cap)
@@ -398,7 +595,13 @@ def exact_cover_tileable(
         return TileOutcome(UNSAT, pruned_by=pruned_by)
     _require_cap(grid, grid_cap)
     problem = build_cover_problem(grid)
-    outcome = solve_exact_cover(problem, limit=1, node_budget=node_budget)
+    outcome = solve_exact_cover(problem, limit=1, node_budget=min(node_budget, SHORT_SEARCH_BUDGET))
+    if outcome.status == TIMEOUT:
+        verdict = _frontier_tileable(grid)
+        if verdict is not None and not verdict[0]:
+            return TileOutcome(UNSAT, nodes=outcome.nodes, pruned_by=f"frontier axis {verdict[1]}")
+        if node_budget > SHORT_SEARCH_BUDGET:
+            outcome = solve_exact_cover(problem, limit=1, node_budget=node_budget)
     if outcome.status == SAT:
         tiling = rows_to_tiling(box, bricks, problem, outcome.solutions[0])
         return TileOutcome(SAT, tiling=tiling, nodes=outcome.nodes)

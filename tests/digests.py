@@ -334,6 +334,8 @@ tile --box 1,1 --brick 2/5,1/2 --brick 1/2,2/5
 tile --box 5,5 --brick 1,4 --brick 4,1 --oracle
 tile --box 10,10 --brick 1,4 --brick 4,1 --oracle
 tile --box 14,14 --brick 1,4 --brick 4,1 --oracle --node-budget 10000
+tile --box 13,13 --brick 4,2 --brick 3,1 --brick 1,4 --oracle --node-budget 10000
+tile --oracle --box 13,13 --brick 6,2 --brick 3,5 --brick 1,5 --brick 1,6
 split --box 1,1 --brick 2/5,1/2 --brick 3/5,1/2
 tile --box 5,5 --brick 1,4 --brick 4,1 --brick 3,3 --output tiling.json
 tile --box 5,5 --brick 1,4 --brick 4,1 --brick 3,3 --emit-matrix m.txt --output t3.json

@@ -18,6 +18,11 @@ from brickbox.cli import main
 from brickbox.serialization import tiling_to_obj
 
 
+# A box that no prefilter refutes and on which the frontier automaton gives
+# up on both axes: the oracle's budget is the only thing that stops it.
+OPEN_BOX = ("tile", "--oracle", "--box", "13,13", "--brick", "4,2", "--brick", "3,1", "--brick", "1,4")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -304,11 +309,7 @@ def test_tile_theorem_path_placements_obey_the_grid_cap(capsys):
 
 
 def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):
-    code, out, _ = run(
-        capsys,
-        "tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5",
-        "--oracle", "--node-budget", "2",
-    )
+    code, out, _ = run(capsys, *OPEN_BOX, "--node-budget", "2")
     assert code == 3
     assert json.loads(out)["status"] == "timeout"
     code, _, err = run(
@@ -339,12 +340,28 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, tmp_path):
 
 
 def test_oracle_timeout_reports_trials_made(capsys):
-    # no prefilter fires on this box, so the search spends the whole budget
+    # neither a prefilter nor the frontier automaton settles this box, so
+    # the search spends the whole budget
+    for budget in (1, 2, 10_000):
+        code, out, _ = run(capsys, *OPEN_BOX, "--node-budget", str(budget))
+        assert code == 3
+        assert json.loads(out) == {"status": "timeout", "nodes": budget}
+    # the automaton refutes this one, whatever the budget
     unsat = ["tile", "--box", "1,1", "--brick", "2/5,1/2", "--brick", "1/2,2/5", "--oracle"]
     for budget in (1, 2):
         code, out, _ = run(capsys, *unsat, "--node-budget", str(budget))
-        assert code == 3
-        assert json.loads(out) == {"status": "timeout", "nodes": budget}
+        assert (code, json.loads(out)) == (1, {"status": "unsat"})
+
+
+def test_oracle_refutes_the_search_heavy_tail(capsys):
+    # the search takes about 20 s on the first and spends 10 000 trials on
+    # the second; the frontier automaton refutes both
+    for argv in (
+        ["--box", "13,13", "--brick", "6,2", "--brick", "3,5", "--brick", "1,5", "--brick", "1,6"],
+        ["--box", "14,14", "--brick", "1,4", "--brick", "4,1", "--node-budget", "10000"],
+    ):
+        code, out, _ = run(capsys, "tile", "--oracle", *argv)
+        assert (code, json.loads(out)) == (1, {"status": "unsat"})
 
 
 def test_tile_oracle_area_unsat_is_a_verdict(capsys):
@@ -378,7 +395,7 @@ def test_budgets_below_one_exit_two(capsys, tmp_path):
                      "--node-budget", "0")
     assert code == 2
     # a budget of 1 is valid: the search spends it and reports a timeout
-    code, out, _ = run(capsys, *unsat, "--node-budget", "1")
+    code, out, _ = run(capsys, *OPEN_BOX, "--node-budget", "1")
     assert code == 3
     assert json.loads(out)["status"] == "timeout"
     # counterexample honours --grid-cap: below 1 is invalid, 3 < 25 cells is a budget

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -201,8 +202,11 @@ def test_tileable_unsat_single_square():
 def test_prefilters_name_the_failed_condition():
     bars = [Brick((1, 4)), Brick((4, 1))]
     # every axis and the volume admit the bars: a genuine search refutes it
+    out = solve_exact_cover(build_cover_problem(build_grid(BoxSpec((10, 10)), bars)), limit=1)
+    assert (out.status, out.nodes) == ("unsat", 3485)
+    # and so does the frontier automaton, after the short search's trials
     out = exact_cover_tileable(BoxSpec((10, 10)), bars)
-    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 3485, None)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 200, "frontier axis 0")
     # 169 cells are no sum of 4s, though 13 is a sum of 1s and 4s on each axis
     out = exact_cover_tileable(BoxSpec((13, 13)), bars)
     assert (out.status, out.nodes, out.pruned_by) == ("unsat", 0, "volume")
@@ -241,14 +245,48 @@ def test_solver_pins_the_costliest_search_instances():
         ((14, 14), [(1, 4), (4, 1)], 10_000, "timeout", 10_000),
     ]
     for box, bricks, budget, status, nodes in cases:
+        problem = build_cover_problem(build_grid(BoxSpec(box), [Brick(b) for b in bricks]))
+        out = solve_exact_cover(problem, limit=1, node_budget=budget)
+        assert (out.status, out.nodes) == (status, nodes)
+
+
+def test_frontier_automaton_settles_the_costliest_search_instances():
+    # the same boxes, and one that takes the search about 20 s: the short
+    # search leaves each open, and the automaton refutes it along axis 0
+    cases = [
+        ((18, 18), [(3, 4), (4, 3)], 10**7),
+        ((10, 8), [(4, 5), (1, 6), (3, 1)], 10**7),
+        ((14, 14), [(1, 4), (4, 1)], 10_000),
+        ((13, 13), [(6, 2), (3, 5), (1, 5), (1, 6)], 10**7),
+    ]
+    for box, bricks, budget in cases:
         out = exact_cover_tileable(BoxSpec(box), [Brick(b) for b in bricks], node_budget=budget)
-        assert (out.status, out.nodes, out.pruned_by) == (status, nodes, None)
+        assert (out.status, out.nodes, out.pruned_by) == ("unsat", 200, "frontier axis 0"), box
+    # a budget below the short search's is spent in full before the automaton runs
+    out = exact_cover_tileable(BoxSpec((14, 14)), [Brick((1, 4)), Brick((4, 1))], node_budget=7)
+    assert (out.status, out.nodes, out.pruned_by) == ("unsat", 7, "frontier axis 0")
+
+
+def test_timeouts_are_left_to_boxes_the_automaton_does_not_refute():
+    # the automaton gives up on both axes, so the search spends the whole budget
+    bricks = [Brick((4, 2)), Brick((3, 1)), Brick((1, 4))]
+    assert exactcover._frontier_tileable(build_grid(BoxSpec((13, 13)), bricks)) is None
+    for budget in (7, 10_000):
+        out = exact_cover_tileable(BoxSpec((13, 13)), bricks, node_budget=budget)
+        assert (out.status, out.nodes, out.pruned_by) == ("timeout", budget, None)
+    # the automaton finds this box tileable, and the search finds the tiling
+    # it finds without it, at the same node count
+    box, bricks = BoxSpec((10, 13)), [Brick((4, 1)), Brick((4, 1)), Brick((5, 1)), Brick((2, 3))]
+    assert exactcover._frontier_tileable(build_grid(box, bricks)) == (True, 1)
+    out = exact_cover_tileable(box, bricks, node_budget=10_000)
+    assert (out.status, out.nodes, out.pruned_by) == ("timeout", 10_000, None)
 
 
 def test_tileable_runs_the_traced_stages_and_checks_no_built_row(monkeypatch):
     # The bench's traced run spans the two stages by their module
     # attributes, so the tileable path must call them through those names;
-    # and the rows it builds from the grid skip the hand-built rows' checks.
+    # and the rows it builds from the grid skip the hand-built rows' checks,
+    # both on construction and in `rows_to_tiling`.
     calls = Counter()
     build, solve = exactcover.build_cover_problem, exactcover.solve_exact_cover
 
@@ -268,6 +306,7 @@ def test_tileable_runs_the_traced_stages_and_checks_no_built_row(monkeypatch):
     monkeypatch.setattr(exactcover, "build_cover_problem", spy_build)
     monkeypatch.setattr(exactcover, "solve_exact_cover", spy_solve)
     monkeypatch.setattr(exactcover.CoverProblem, "__post_init__", refuse)
+    monkeypatch.setattr(exactcover, "_box_cells", refuse)
     out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((1, 4)), Brick((4, 1)), Brick((3, 3))])
     assert out.status == "sat" and verify_tiling_geometric(out.tiling).ok
     assert calls == {"build": 1, "rows": 29, "solve": 1}
@@ -291,6 +330,27 @@ def test_hand_built_rows_land_in_the_same_columns():
     assert by_hand.rows == problem.rows and type(by_hand.rows[0]) is tuple
     tiling = rows_to_tiling(box, bricks, by_hand, (4, 5, 6))
     assert list(tiling.placements) == [Placement(2, (F(x), F(0))) for x in range(3)]
+
+
+def test_rows_to_tiling_refuses_a_row_that_is_not_its_placement():
+    from brickbox.exactcover import CoverProblem
+
+    box, bricks = BoxSpec((3, 2)), [Brick((2, 1)), Brick((1, 3)), Brick((1, 2))]
+    grid = build_grid(box, bricks)
+    reversed_rows = CoverProblem(grid, rows=build_cover_problem(grid).rows[::-1])
+    # row 0 is now cells (4, 5), not brick 0 at (0, 0), which id 0 names
+    assert reversed_rows.rows[0] == (4, 5)
+    with pytest.raises(ValueError, match=r"^cover row 0 does not cover brick 0 at offset \(0, 0\)$"):
+        rows_to_tiling(box, bricks, reversed_rows, [0])
+    # the middle row is the same in both orders, and cell order within a row is free
+    tiling = rows_to_tiling(box, bricks, reversed_rows, [3])
+    assert list(tiling.placements) == [Placement(0, (F(1), F(1)))]
+    shuffled = CoverProblem(grid, rows=[cells[::-1] for cells in build_cover_problem(grid).rows])
+    assert len(rows_to_tiling(box, bricks, shuffled, range(7)).placements) == 7
+    # an id past the last placement names none
+    extra = CoverProblem(grid, rows=[*build_cover_problem(grid).rows, (0,)])
+    with pytest.raises(ValueError, match="^cover row 7 names no placement$"):
+        rows_to_tiling(box, bricks, extra, [7])
 
 
 def test_hand_built_rows_cover_distinct_cells_of_the_grid():
@@ -599,6 +659,58 @@ def test_solver_matches_the_reference_on_deep_three_dimensional_searches():
         )
         deep[out.status, out.nodes > 2000] += 1
     assert deep["sat", True] >= 5 and deep["timeout", True] >= 5, deep
+
+
+def random_automaton_grid(rng):
+    # d = 1 to 3 and 2 to 4 brick types; a footprint may exceed the grid on
+    # an axis, so that type has no placement at all
+    d = rng.randint(1, 3)
+    cells = tuple(rng.randint(1, {1: 16, 2: 7, 3: 4}[d]) for _ in range(d))
+    footprints = tuple(
+        tuple(rng.randint(1, c + 1) for c in cells) for _ in range(rng.randint(2, 4))
+    )
+    return GridModel(unit=(F(1),) * d, cells=cells, brick_footprints=footprints)
+
+
+def test_frontier_automaton_matches_the_reference_on_seeded_corpus():
+    # the automaton on every axis, and as the oracle calls it, against the
+    # dict-of-sets search wherever that search decides
+    rng = random.Random(DIFF_SEED + 3)
+    seen = Counter()
+    for _ in range(2000):
+        grid = random_automaton_grid(rng)
+        ref = reference_solve_exact_cover(build_cover_problem(grid), limit=1, node_budget=2000)
+        verdict = exactcover._frontier_tileable(grid)
+        fits = [f for f in grid.brick_footprints if all(map(le, f, grid.cells))]
+        by_axis = [exactcover._frontier_axis(grid.cells, fits, ax) for ax in range(len(grid.cells))]
+        if verdict is not None:
+            assert by_axis[verdict[1]] == verdict[0], grid
+        if ref.status == "timeout":
+            seen["timeout"] += 1
+            continue
+        for tileable in by_axis:
+            assert tileable in (ref.status == "sat", None), grid
+        assert verdict is not None and verdict[0] == (ref.status == "sat"), grid
+        seen[ref.status, len(fits) < len(grid.brick_footprints)] += 1
+    assert min(seen[v, big] for v in ("sat", "unsat") for big in (True, False)) >= 100, seen
+    # a deeper slice of 2-d boxes of 6 to 12 cells a side and bricks of 1 to
+    # 5, against the search (itself pinned to the reference above) at 20 000
+    # nodes, where states span several columns and the search backtracks long
+    deep = Counter()
+    for _ in range(200):
+        cells = (rng.randint(6, 12), rng.randint(6, 12))
+        footprints = tuple(
+            (rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(2, 4))
+        )
+        grid = GridModel(unit=(F(1), F(1)), cells=cells, brick_footprints=footprints)
+        full = solve_exact_cover(build_cover_problem(grid), limit=1, node_budget=20_000)
+        verdict = exactcover._frontier_tileable(grid)
+        if full.status != "timeout" and verdict is not None:
+            assert verdict[0] == (full.status == "sat"), grid
+        deep[full.status, verdict and verdict[0]] += 1
+    # both verdicts, and boxes only the automaton refutes
+    assert deep["sat", True] >= 50 and deep["unsat", False] >= 20, deep
+    assert deep["timeout", False] >= 3, deep
 
 
 def test_combination_helper_matches_dynamic_programming():

@@ -17,7 +17,8 @@ decider's integer remainders.
 
 Two more relate `exact_cover_tileable` runs on the corpus of the `oracle`
 digest class (the `search` catalogue, the oracle cases of
-`tests/test_geometry.py` and random instances of 2 to 4 bricks, d = 1 to 3):
+`tests/test_geometry.py` and random instances of 2 to 4 bricks, d = 1 to 3),
+plus one box that the oracle's budget alone stops:
 
 * scaling every extent by p/q leaves the grid's cell counts alone, so it
   keeps the status, `nodes` and `pruned_by`, and the tiling's placements
@@ -46,7 +47,12 @@ import digests
 SEED = 20261031
 FACTORS = (3, 7, 1000003, 10**9 + 7, 10**400 + 1)
 CASES = list(digests.decide_cases())
-ORACLE_CASES = list(digests.oracle_cases())
+# The oracle corpus, and one box that neither the short search nor the
+# frontier automaton settles, so that a timeout is related too.
+ORACLE_CASES = [
+    *digests.oracle_cases(),
+    ("open 13x13", BoxSpec((13, 13)), [Brick((4, 2)), Brick((3, 1)), Brick((1, 4))], 10_000),
+]
 
 
 @cache
