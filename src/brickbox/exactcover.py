@@ -71,7 +71,8 @@ axis once one column holds more than FRONTIER_CAP (4096) states or makes
 more than FRONTIER_CAP partial fillings. 14x14 {1x4, 4x1} peaks at 2932
 states in a column, so it is refuted. A cap of 50 000 over the whole run
 rather than per column let the automaton spend 61 ms before giving up on
-14x14 {5x1, 3x3, 1x4, 6x6} (tileable), against 9 to 11 ms per column.
+14x14 {5x1, 3x3, 1x4, 6x6} (tileable), against 9 to 11 ms with the cap
+per column.
 
 A refutation by the automaton is returned as "unsat" with `pruned_by`
 "frontier axis <k>" and the short search's trials as `nodes`. When the
@@ -131,15 +132,6 @@ class GridModel:
     @property
     def cell_count(self) -> int:
         return math.prod(self.cells)
-
-
-def _box_cells(cells: Sequence[int], corner: Sequence[int], side: Sequence[int]) -> list[int]:
-    # Row-major ids, in increasing order, of the box of `side` cells at
-    # `corner` in a grid of `cells`.
-    ids = [0]
-    for n, lo, f in zip(cells, corner, side):
-        ids = [i * n + c for i in ids for c in range(lo, lo + f)]
-    return ids
 
 
 def _spans(grid: GridModel) -> list[list[int]]:
@@ -480,9 +472,10 @@ def _frontier_axis(cells: Sequence[int], fits: list, ax: int) -> bool | None:
     width = math.prod(cross)
     strides = [math.prod(cross[j + 1:]) for j in range(len(cross))]
     bricks = []
+    ids = np.arange(width).reshape(cross)
     for fp in fits:
         side = fp[:ax] + fp[ax + 1:]
-        layer = sum(1 << i for i in _box_cells(cross, [0] * len(side), side))
+        layer = sum(1 << i for i in ids[tuple(map(slice, side))].ravel().tolist())
         mask = sum(layer << (k * width) for k in range(fp[ax]))
         bricks.append((fp[ax], tuple(c - n for c, n in zip(cross, side)), mask))
     depth = max((h for h, _, _ in bricks), default=1)
@@ -548,7 +541,7 @@ def rows_to_tiling(
     if not problem._built:
         row_ids = list(row_ids)
         for rid in row_ids:
-            if not 0 <= rid < first[-1]:
+            if not 0 <= rid < min(first[-1], len(problem.rows)):
                 raise ValueError(f"cover row {rid} names no placement")
     kinds, offsets = [], []
     for rid in row_ids:
@@ -560,8 +553,10 @@ def rows_to_tiling(
         kinds.append(k)
         offsets.append(offset[::-1])
     if not problem._built:
+        ids = np.arange(grid.cell_count).reshape(grid.cells)
         for rid, k, offset in zip(row_ids, kinds, offsets):
-            if sorted(problem.rows[rid]) != _box_cells(grid.cells, offset, grid.brick_footprints[k]):
+            at = tuple(slice(o, o + f) for o, f in zip(offset, grid.brick_footprints[k]))
+            if sorted(problem.rows[rid]) != ids[at].ravel().tolist():
                 raise ValueError(f"cover row {rid} does not cover brick {k} at offset {tuple(offset)}")
     axes = []
     for ax, unit in enumerate(problem.grid.unit):

@@ -285,8 +285,7 @@ def test_timeouts_are_left_to_boxes_the_automaton_does_not_refute():
 def test_tileable_runs_the_traced_stages_and_checks_no_built_row(monkeypatch):
     # The bench's traced run spans the two stages by their module
     # attributes, so the tileable path must call them through those names;
-    # and the rows it builds from the grid skip the hand-built rows' checks,
-    # both on construction and in `rows_to_tiling`.
+    # and the rows it builds from the grid skip the hand-built rows' checks.
     calls = Counter()
     build, solve = exactcover.build_cover_problem, exactcover.solve_exact_cover
 
@@ -306,7 +305,6 @@ def test_tileable_runs_the_traced_stages_and_checks_no_built_row(monkeypatch):
     monkeypatch.setattr(exactcover, "build_cover_problem", spy_build)
     monkeypatch.setattr(exactcover, "solve_exact_cover", spy_solve)
     monkeypatch.setattr(exactcover.CoverProblem, "__post_init__", refuse)
-    monkeypatch.setattr(exactcover, "_box_cells", refuse)
     out = exact_cover_tileable(BoxSpec((5, 5)), [Brick((1, 4)), Brick((4, 1)), Brick((3, 3))])
     assert out.status == "sat" and verify_tiling_geometric(out.tiling).ok
     assert calls == {"build": 1, "rows": 29, "solve": 1}
@@ -347,10 +345,17 @@ def test_rows_to_tiling_refuses_a_row_that_is_not_its_placement():
     assert list(tiling.placements) == [Placement(0, (F(1), F(1)))]
     shuffled = CoverProblem(grid, rows=[cells[::-1] for cells in build_cover_problem(grid).rows])
     assert len(rows_to_tiling(box, bricks, shuffled, range(7)).placements) == 7
-    # an id past the last placement names none
+    # an id past the last placement, or past the problem's rows, names none
     extra = CoverProblem(grid, rows=[*build_cover_problem(grid).rows, (0,)])
     with pytest.raises(ValueError, match="^cover row 7 names no placement$"):
         rows_to_tiling(box, bricks, extra, [7])
+    fewer = CoverProblem(grid, rows=build_cover_problem(grid).rows[:3])
+    with pytest.raises(ValueError, match="^cover row 5 names no placement$"):
+        rows_to_tiling(box, bricks, fewer, [0, 5])
+    # built rows are never read back: their ids name their placements
+    built = build_cover_problem(grid)
+    object.__setattr__(built, "rows", ())
+    assert len(rows_to_tiling(box, bricks, built, range(7)).placements) == 7
 
 
 def test_hand_built_rows_cover_distinct_cells_of_the_grid():
