@@ -22,7 +22,8 @@ ids broadcast over the base cell of every in-bounds offset. A cover problem
 is its grid and a tuple of rows, each row the tuple of its cell ids. The
 rows run by brick type, then by offset in row-major order, so a row id
 alone names its placement: `rows_to_tiling` reads the brick type and the
-offset back from the grid.
+offset back from the grid as integer columns, and makes each distinct
+offset's Fraction once, from ints.
 
 The search is Knuth's Algorithm X with the header ring of Dancing Links
 (Knuth, arXiv cs/0011047): the uncovered columns form a doubly linked ring
@@ -559,13 +560,17 @@ def rows_to_tiling(
             if sorted(problem.rows[rid]) != ids[at].ravel().tolist():
                 raise ValueError(f"cover row {rid} does not cover brick {k} at offset {tuple(offset)}")
     axes = []
-    for ax, unit in enumerate(problem.grid.unit):
-        # Merged as ints, so each distinct offset becomes one Fraction.
+    for ax, unit in enumerate(grid.unit):
+        # Merged as ints, so each distinct offset becomes one Fraction, made
+        # from ints with no Fraction arithmetic.
         column = [offset[ax] for offset in offsets]
         cells = sorted(set(column))
         at = {c: k for k, c in enumerate(cells)}
-        axes.append(([c * unit for c in cells], [at[c] for c in column]))
-    return Tiling(bricks=tuple(bricks), placements=Placements(kinds, axes), box=box)
+        n, q = unit.as_integer_ratio()
+        index = np.fromiter(map(at.__getitem__, column), np.intp, len(column))
+        axes.append(([Fraction(c * n, q) for c in cells], index))
+    placements = Placements(np.array(kinds, dtype=np.intp), axes)
+    return Tiling(bricks=tuple(bricks), placements=placements, box=box)
 
 
 def exact_cover_tileable(

@@ -12,9 +12,13 @@ brick-index column and, per axis, the sorted distinct offsets, each stored
 once as a Fraction, with an index column into them. The `Placements`
 constructor is the one place that makes this form: every builder hands it
 offsets in any order, repeated or unused, and it sorts and merges them.
-`Tiling` checks bounds once per brick type and axis, and readers work from
-the columns; a `Placement` is built only when a caller reads one. The first
-bad placement is named from the columns too, only when that check fails.
+`Tiling` checks bounds once per brick type and axis, in ints: the least
+offset by the sign of its numerator, and the greatest offset n/q of each
+brick type, of extent e/f, in a box of extent g/h by one comparison of
+integer cross-products, (n*f + e*q)*h <= g*q*f, so a check does no Fraction
+arithmetic. Readers work from the columns; a `Placement` is built only when
+a caller reads one. The first bad placement is named from the columns too,
+only when that check fails.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
@@ -322,19 +326,25 @@ def _placement_columns(placements: tuple[Placement, ...], d: int) -> Placements:
 
 def _fits(view: Placements, bricks: tuple[Brick, ...], box: BoxSpec) -> bool:
     # Whether every placement of a non-empty view names a brick type and
-    # lies inside the box: on each axis the least offset is at least 0 and,
-    # per brick type, the greatest offset it sits at is at most L - c. It
-    # does not say which placement fails; `_first_error` does.
+    # lies inside the box: on each axis the least offset's numerator is at
+    # least 0 and, per brick type, the greatest offset n/q it sits at ends
+    # inside L = g/h: with c = e/f, n/q + c <= L is (n*f + e*q)*h <= g*q*f in
+    # ints. It does not say which placement fails; `_first_error` does.
     if view.kinds.max() >= len(bricks):
         return False
     top = np.empty(len(bricks), dtype=np.intp)
     for ax, (values, index) in enumerate(view.axes):
+        if values[0].numerator < 0:
+            return False
         top.fill(-1)
         np.maximum.at(top, view.kinds, index)
-        if values[0] < 0 or any(
-            values[i] > box.dims[ax] - b.dims[ax] for i, b in zip(top.tolist(), bricks) if i >= 0
-        ):
-            return False
+        g, h = box.dims[ax].as_integer_ratio()
+        for i, b in zip(top.tolist(), bricks):
+            if i >= 0:
+                n, q = values[i].as_integer_ratio()
+                e, f = b.dims[ax].as_integer_ratio()
+                if (n * f + e * q) * h > g * q * f:
+                    return False
     return True
 
 
@@ -366,9 +376,9 @@ class Tiling:
     validates types (TypeError naming the field) and structure (dimensions
     agree, indices are in range, every placed brick lies inside the box;
     ValueError naming the first bad placement). Bounds are checked on the
-    columns; only when that check fails are the rows scanned, in order, for
-    the first bad placement. Whether the placements actually tile the box
-    is decided by `verify_tiling_geometric`. Two tilings are equal when
+    columns, in ints; only when that check fails are the rows scanned, in
+    order, for the first bad placement. Whether the placements actually tile
+    the box is decided by `verify_tiling_geometric`. Two tilings are equal when
     their bricks, boxes and placement sequences are. The integer frame
     that the verifier, the spectral sampler and the SVG writer read is
     built once, on first use, and takes no part in equality, hash, repr

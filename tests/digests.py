@@ -299,6 +299,12 @@ def _cli_files() -> dict[str, str]:
     obs400 = [[f"{3*u}/{v}", f"{4*v}/{u}", str(2 * u), str(5 * v)],
               [f"{5*u}/{v}", f"{2*v}/{u}", str(3 * u), str(2 * v)]]
     half = [{"dims": ["1/2", "1"]}]
+    # A 3 x 2 tiling whose last placement sits exactly at L - c on axis 0,
+    # and the same with that offset 1/v past it.
+    edge = [[f"{i*u}/{v}", f"{j*v}/{u}"] for i in range(3) for j in range(2)]
+    past = [*edge[:5], [f"{2*u + 1}/{v}", edge[5][1]]]
+    box3x2 = {"dims": [f"{3*u}/{v}", f"{2*v}/{u}"]}
+    unit = [{"dims": [f"{u}/{v}", f"{v}/{u}"]}]
     objs = {
         "fine.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
                       "placements": [{"brick": 0, "offset": [f"1/{3**50}", "0"]}]},
@@ -313,6 +319,10 @@ def _cli_files() -> dict[str, str]:
         "outside.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
                          "placements": [{"brick": 0, "offset": o} for o in (
                              ["0", "0"], ["3/4", "0"], ["0", "0", "0"])]},
+        "edge400.json": {"box": box3x2, "bricks": unit,
+                         "placements": [{"brick": 0, "offset": o} for o in edge]},
+        "past400.json": {"box": box3x2, "bricks": unit,
+                         "placements": [{"brick": 0, "offset": o} for o in past]},
         "wide.json": {"box": {"dims": ["1", "1"]}, "bricks": half,
                       "placements": [{"brick": 0, "offset": [o, "0", "0"]} for o in ("0", "1/2")]},
         "inst.json": {"box": {"dims": ["1", "1"]},
@@ -365,6 +375,8 @@ counterexample --R 4 --output-dir out
 verify --input lift40.json
 verify --input respelled.json
 verify --input outside.json
+verify --input edge400.json
+verify --input past400.json
 verify --input wide.json
 spectral --input tiling.json --samples -1
 spectral --input tiling.json --samples 0

@@ -29,6 +29,8 @@ from brickbox import (
 from brickbox import exactcover
 from references import rational_gcd
 
+import digests
+
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -383,6 +385,36 @@ def test_rows_to_tiling_preserves_exactness():
     tiling = rows_to_tiling(box, bricks, problem, out.solutions[0])
     assert all(isinstance(c, F) for p in tiling.placements for c in p.offset)
     assert verify_tiling_geometric(tiling).ok
+
+
+# Fraction's arithmetic and comparison operators.
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+)
+
+
+def test_the_oracle_sat_path_does_no_fraction_arithmetic(monkeypatch):
+    # On the SAT instances of the oracle digest corpus, the grid, the
+    # search, `rows_to_tiling` and `Tiling`'s bounds check work on ints:
+    # with every Fraction operator raising, each still returns its tiling.
+    # The Fraction constructor and `as_integer_ratio` stay.
+    cases = [(box, bricks, budget) for _, box, bricks, budget in digests.oracle_cases()]
+    sat = [c for c in cases if exact_cover_tileable(*c[:2], node_budget=c[2]).status == "sat"]
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"Fraction.{name} was called")
+        return call
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(F, name, refuse(name))
+    tilings = [exact_cover_tileable(box, bricks, node_budget=n).tiling for box, bricks, n in sat]
+    monkeypatch.undo()
+    assert len(tilings) >= 300
+    assert all(verify_tiling_geometric(t).ok for t in tilings)
 
 
 def test_cover_matrix_text_format():

@@ -616,6 +616,37 @@ def _raw_placement(rng, bricks, box):
     return Placement(index, tuple(offset))
 
 
+def _huge_rational(rng, top):
+    """A rational in (0, top] of up to 400 digits over up to 400 digits, or
+    top itself."""
+    den = rng.randint(1, 10 ** rng.randint(1, 400))
+    return min(F(rng.randint(1, max(1, min(math.floor(top * den), 10**400))), den), top)
+
+
+def _boundary_case(rng):
+    """Bricks, rows and a box in rationals of up to 400 digits. Each offset
+    is 0, exactly L - c, or a rational between; in a seeded share of the
+    cases some lie 1/q past L - c or 1/q below 0, for q the denominator of
+    L - c or 10**400."""
+    d = rng.randint(1, 3)
+    box = BoxSpec([_huge_rational(rng, F(10**400)) for _ in range(d)])
+    bricks = tuple(
+        Brick([_huge_rational(rng, L) for L in box.dims]) for _ in range(rng.randint(1, 3))
+    )
+    outside = rng.random() ** 2 / d
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randrange(len(bricks))
+        offset = []
+        for L, c in zip(box.dims, bricks[k].dims):
+            top = L - c
+            step = F(1, rng.choice((top.denominator, 10**400)))
+            inside = (0, top, _huge_rational(rng, top) if top else 0)
+            offset.append(rng.choice((top + step, -step) if rng.random() < outside else inside))
+        rows.append(Placement(k, tuple(offset)))
+    return bricks, tuple(rows), box
+
+
 def _tiling_error(bricks, placements, box):
     try:
         Tiling(bricks=bricks, placements=placements, box=box)
@@ -641,6 +672,14 @@ def test_tiling_errors_match_fraction_reference():
         messages[got and " ".join(got.split()[0:3:2])] += 1
     kinds = {None, "brick has", "placement has", "placement references", "placement extends"}
     assert set(messages) == kinds, messages
+    # Offsets at and just past the bounds, in rationals of up to 400 digits.
+    boundary = Counter()
+    for case in range(400):
+        bricks, placements, box = _boundary_case(rng)
+        got = _tiling_error(bricks, placements, box)
+        assert got == fraction_tiling_error(bricks, placements, box), ("boundary", case)
+        boundary[got is None] += 1
+    assert min(boundary.values()) >= 100, boundary
 
 
 def test_out_of_box_placement_is_reported_before_a_later_malformed_one():
@@ -677,8 +716,13 @@ def _raw_view(rng, bricks, box):
             near = rng.choice((-top / 3 - 1, F(-1, 1000), top + F(1, 1000), top + F(1, 5)))
             offset.append(near if rng.random() < outside else _rational_in(rng, top))
         rows.append(Placement(k, tuple(offset)))
+    return rows, _view(rows, width)
+
+
+def _view(rows, width):
+    """The rows' view: each axis's offsets as given, one per row."""
     columns = [([p.offset[ax] for p in rows], range(len(rows))) for ax in range(width)]
-    return rows, Placements([p.brick_index for p in rows], columns)
+    return Placements([p.brick_index for p in rows], columns)
 
 
 def test_view_errors_match_the_row_scan():
@@ -699,6 +743,14 @@ def test_view_errors_match_the_row_scan():
     kinds = {None, "placement has", "placement references", "placement extends"}
     assert set(messages) == kinds, messages
     assert min(messages.values()) >= 50, messages
+    # Offsets at and just past the bounds, in rationals of up to 400 digits.
+    boundary = Counter()
+    for case in range(400):
+        bricks, rows, box = _boundary_case(rng)
+        got = _tiling_error(bricks, _view(rows, box.dim), box)
+        assert got == fraction_tiling_error(bricks, rows, box), ("boundary", case)
+        boundary[got is None] += 1
+    assert min(boundary.values()) >= 100, boundary
 
 
 def test_a_bad_view_is_named_without_building_a_row(monkeypatch):

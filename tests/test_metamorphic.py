@@ -24,6 +24,16 @@ plus one box that the oracle's budget alone stops:
   keeps the status, `nodes` and `pruned_by`, and the tiling's placements
   in order, each offset scaled by p/q;
 * permuting the axes keeps the verdict wherever neither run times out.
+
+Three relate `verify_tiling_geometric` runs on the tilings of the `verify`
+digest class (certificate, oracle, pinwheel and lifted tilings, each with
+its three mutants):
+
+* permuting the axes keeps the status and the witness;
+* scaling every extent and offset by p/q keeps the status and the overlap
+  pair, and scales both volumes of a volume mismatch by (p/q)**d;
+* reflecting one axis (x -> L - x - c) keeps the status and the witness:
+  the pairs of placements that meet, and the volumes, do not change.
 """
 
 import random
@@ -35,7 +45,10 @@ from itertools import permutations
 from brickbox import (
     BoxSpec,
     Brick,
+    Placements,
     SplitCertificate,
+    Tiling,
+    VerifyOutcome,
     decide_two_brick,
     exact_cover_tileable,
     verify_tiling_geometric,
@@ -53,6 +66,7 @@ ORACLE_CASES = [
     *digests.oracle_cases(),
     ("open 13x13", BoxSpec((13, 13)), [Brick((4, 2)), Brick((3, 1)), Brick((1, 4))], 10_000),
 ]
+VERIFY_CASES = list(digests.verify_cases())
 
 
 @cache
@@ -196,3 +210,74 @@ def test_permuting_the_axes_keeps_the_oracle_verdict():
         seen[out.status, new.nodes == out.nodes] += 1
     # Both verdicts, each reached with the same and with a different node count.
     assert min(seen[v, same] for v in ("sat", "unsat") for same in (True, False)) >= 5, seen
+
+
+@cache
+def _verify_outcomes():
+    # Each verify corpus tiling's outcome, taken once for every relation.
+    return [verify_tiling_geometric(t) for _, t in VERIFY_CASES]
+
+
+def _rebuilt(t, box, bricks, axes):
+    # `t`'s placements, in order and of the same types, on new extents and
+    # offset columns.
+    return Tiling(
+        bricks=tuple(map(Brick, bricks)),
+        placements=Placements(t.placements.kinds, axes),
+        box=BoxSpec(box),
+    )
+
+
+def _verify_relation(seed, transform):
+    # Each corpus tiling's outcome after `transform(rng, tiling)`, which
+    # returns the new tiling and the outcome it must have given the old one.
+    rng = random.Random(seed)
+    seen = Counter()
+    for (label, t), out in zip(VERIFY_CASES, _verify_outcomes()):
+        new, want = transform(rng, t, out)
+        assert verify_tiling_geometric(new) == want, label
+        seen[out.status] += 1
+    assert min(seen[s] for s in ("ok", "overlap", "volume-mismatch")) >= 50, seen
+
+
+def test_permuting_the_axes_keeps_the_verify_outcome():
+    # One seeded order per tiling, other than the given one for d > 1.
+    def permute(rng, t, out):
+        d = t.box.dim
+        perm = tuple(range(d))
+        while d > 1 and perm == tuple(range(d)):
+            perm = tuple(rng.sample(range(d), d))
+        bricks = [_permuted(b.dims, perm) for b in t.bricks]
+        axes = _permuted(t.placements.axes, perm)
+        return _rebuilt(t, _permuted(t.box.dims, perm), bricks, axes), out
+
+    _verify_relation(SEED + 4, permute)
+
+
+def test_scaling_every_extent_scales_the_volume_witness_alone():
+    def scale(rng, t, out):
+        s = F(rng.choice(FACTORS), rng.choice(FACTORS))
+        axes = [([s * v for v in values], index) for values, index in t.placements.axes]
+        bricks = [[s * c for c in b.dims] for b in t.bricks]
+        new = _rebuilt(t, [s * L for L in t.box.dims], bricks, axes)
+        if out.status == "volume-mismatch":
+            out = VerifyOutcome(out.status, tuple(v * s**t.box.dim for v in out.witness))
+        return new, out
+
+    _verify_relation(SEED + 5, scale)
+
+
+def test_reflecting_an_axis_keeps_the_verify_outcome():
+    # One seeded axis per tiling; each placement's offset o there becomes
+    # L - o - c, given per placement and merged by the constructor.
+    def reflect(rng, t, out):
+        ax = rng.randrange(t.box.dim)
+        axes = list(t.placements.axes)
+        values, index = axes[ax]
+        L = t.box.dims[ax]
+        kinds = t.placements.kinds.tolist()
+        ends = [L - values[i] - t.bricks[k].dims[ax] for k, i in zip(kinds, index.tolist())]
+        axes[ax] = (ends, range(len(ends)))
+        return _rebuilt(t, t.box.dims, [b.dims for b in t.bricks], axes), out
+
+    _verify_relation(SEED + 6, reflect)
