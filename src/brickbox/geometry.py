@@ -12,13 +12,11 @@ brick-index column and, per axis, the sorted distinct offsets, each stored
 once as a Fraction, with an index column into them. The `Placements`
 constructor is the one place that makes this form: every builder hands it
 offsets in any order, repeated or unused, and it sorts and merges them.
-`Tiling` checks bounds once per brick type and axis, in ints: the least
-offset by the sign of its numerator, and the greatest offset n/q of each
-brick type, of extent e/f, in a box of extent g/h by one comparison of
-integer cross-products, (n*f + e*q)*h <= g*q*f, so a check does no Fraction
-arithmetic. Readers work from the columns; a `Placement` is built only when
-a caller reads one. The first bad placement is named from the columns too,
-only when that check fails.
+`Tiling` checks bounds once per brick type and axis, as comparisons of
+integer cross-products of numerators and denominators (`_fits`), with no
+Fraction arithmetic. Readers work from the columns; a `Placement` is built
+only when a caller reads one. The first bad placement is named from the
+columns too, only when that check fails.
 
 `frac` is the one reader of rational strings, for the JSON and CLI formats
 too: optional surrounding whitespace, an optional sign, ASCII digits, and
